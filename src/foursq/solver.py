@@ -4,9 +4,9 @@ The core routine descends from a representation l*m - n**2 = A**2+B**2+C**2
 to an integral quaternion gamma = (n+Ai+Bj+Ck)*conj(beta)/l, whose
 components give a solution of the linear system at value n.  On top of that
 sit the admissibility filters (which value sets / residue classes can work
-at all) and a family of transformation rules that transport solutions
-between related coefficient quadruples via quaternion identities
-beta*u == v*beta'.
+at all).  Beside the search, as certificates rather than a search step,
+sits a family of transformation rules that transport solutions between
+related coefficient quadruples via quaternion identities beta*u == v*beta'.
 """
 
 from __future__ import annotations
@@ -348,15 +348,6 @@ def builtin_rules() -> tuple[TransformationRule, ...]:
     return tuple(rules)
 
 
-@lru_cache(maxsize=None)
-def _rules_for_target(quad: SystemQuadruple) -> tuple[TransformationRule, ...]:
-    matching = [r for r in builtin_rules() if r.target == quad]
-    # For (1,2,3,5) both the single-identity rule and a generic one apply;
-    # prefer the single-identity rule.
-    matching.sort(key=lambda r: 0 if r.case == 5 else 1)
-    return tuple(matching)
-
-
 def identity_suite() -> list[tuple[str, bool]]:
     """Re-verify every distinct quaternion identity behind the rules.
 
@@ -568,6 +559,16 @@ def _validate(sol: RestrictedSolution, m: int, quad: SystemQuadruple) -> None:
 # Admissible values and candidate sets
 # --------------------------------------------------------------------------
 
+def _passes_residue_filter(quad: SystemQuadruple, n: int, r: int) -> bool:
+    """The mod-3 / mod-5 obstruction test on r = l*m - n**2."""
+    key = tuple(quad)
+    if key in _MOD3_QUADS:
+        return r % 3 != 1
+    if key in _MOD5_QUADS:
+        return r % 5 in (0, 1, 4)
+    return r % 5 in (0, 1, 4) or n % 3 != 0  # (1, 2, 3, 5)
+
+
 def admissible_n(m: int, quad: Sequence[int],
                  target_set: Union[str, TargetSet]) -> list[int]:
     """Values n in the target set that pass all solvability filters.
@@ -581,21 +582,9 @@ def admissible_n(m: int, quad: Sequence[int],
     if m < 0:
         raise ValueError("m must be nonnegative")
     lm = q.l * m
-    key = tuple(q)
-    out = []
-    for n in ts.values_upto(isqrt(lm)):
-        r = lm - n * n
-        if not is_three_square(r):
-            continue
-        if key in _MOD3_QUADS:
-            ok = r % 3 != 1
-        elif key in _MOD5_QUADS:
-            ok = r % 5 in (0, 1, 4)
-        else:  # (1, 2, 3, 5)
-            ok = r % 5 in (0, 1, 4) or n % 3 != 0
-        if ok:
-            out.append(n)
-    return out
+    return [n for n in ts.values_upto(isqrt(lm))
+            if is_three_square(r := lm - n * n)
+            and _passes_residue_filter(q, n, r)]
 
 
 def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
@@ -625,18 +614,44 @@ def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
 # Restricted solving
 # --------------------------------------------------------------------------
 
+def _candidate_values(m: int, quad: SystemQuadruple, ts: TargetSet,
+                      natural: bool) -> Iterator[int]:
+    """Set members n with n**2 <= l*m and l*m - n**2 a sum of three squares.
+
+    Values passing the residue filter come first, then those failing it;
+    each group ascending, or descending when natural.  Lazy: the filtered
+    head is yielded before the rest of the set is examined.
+    """
+    lm = quad.l * m
+    values = ts.values_upto(isqrt(lm))
+    if natural:
+        values.reverse()
+    deferred = []
+    for n in values:
+        r = lm - n * n
+        if is_three_square(r):
+            if _passes_residue_filter(quad, n, r):
+                yield n
+            else:
+                deferred.append(n)
+    yield from deferred
+
+
 def solve_restricted(m: int, quad: Sequence[int],
                      target_set: Union[str, TargetSet],
                      natural: bool = False,
                      n: Optional[int] = None) -> RestrictedSolution:
     """Solve the system with the linear form restricted to the target set.
 
-    Values n are tried in ascending order: first the filtered admissible
-    values (where a failed direct solve falls back to transforming a
-    companion-system solution), then any remaining set members n with
-    n**2 <= l*m and l*m - n**2 a sum of three squares.  Passing n pins the
-    value instead.  Raises NoSolutionError with the full trace when every
-    candidate fails.
+    Each candidate value n is solved by direct descent.  Values are tried in
+    ascending order: first the admissible values (those passing the residue
+    filter), then any remaining set members n with n**2 <= l*m and
+    l*m - n**2 a sum of three squares.  Passing n pins the value instead.
+    Raises NoSolutionError with the full trace when every candidate fails.
+
+    The descent is complete at each n, so the transformation rules are not
+    a search step: they are certificates, re-checked by `identity_suite`
+    and `apply_rule`.
 
     With natural=True the n values are walked in descending order instead:
     natural solutions need the linear form close to its maximum, where the
@@ -647,54 +662,19 @@ def solve_restricted(m: int, quad: Sequence[int],
     ts = TargetSet.parse(target_set)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lm = q.l * m
-    if n is not None:
-        if not ts.contains(n):
-            raise ValueError(f"n={n} is not in {ts.value}")
-        if n * n > lm:
-            raise ValueError(f"n**2 = {n * n} exceeds l*m = {lm}")
-        sol = _solve_at(m, n, q, natural)
-        if sol is not None:
-            return sol
-        raise NoSolutionError(m, q, ts, [n])
+    if n is None:
+        values = _candidate_values(m, q, ts, natural)
+    elif ts.contains(n):
+        values = (n,)
+    else:
+        raise ValueError(f"n={n} is not in {ts.value}")
     tried = []
-    phase1 = admissible_n(m, q, ts)
-    for nv in reversed(phase1) if natural else phase1:
-        sol = _solve_at(m, nv, q, natural)
-        if sol is not None:
-            return sol
-        tried.append(nv)
-    seen = set(phase1)
-    phase2 = [nv for nv in ts.values_upto(isqrt(lm))
-              if nv not in seen and is_three_square(lm - nv * nv)]
-    for nv in reversed(phase2) if natural else phase2:
+    for nv in values:
         sol = solve_linear_system(m, nv, q, natural=natural)
         if sol is not None:
             return sol
         tried.append(nv)
     raise NoSolutionError(m, q, ts, tried)
-
-
-def _solve_at(m: int, n: int, quad: SystemQuadruple,
-              natural: bool) -> Optional[RestrictedSolution]:
-    """Direct solve at one value, with the rule-based companion fallback."""
-    sol = solve_linear_system(m, n, quad, natural=natural)
-    if sol is not None:
-        return sol
-    comp = _COMPANIONS[tuple(quad)]
-    csol = solve_linear_system(m, n, comp)
-    if csol is not None:
-        for rule in _rules_for_target(quad):
-            out = apply_rule(rule, csol)
-            if out is None:
-                continue
-            if natural:
-                out = _naturalize(out, quad)
-                if out is None:
-                    continue
-            _validate(out, m, quad)
-            return out
-    return None
 
 
 def check_solution(m: int, quad: Sequence[int],

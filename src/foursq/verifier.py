@@ -17,6 +17,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple, Optional, Sequence, Union
 
 import mpmath
@@ -111,33 +112,14 @@ def _reduce_full(m: int, theorem: str) -> tuple[int, int]:
     return m, f
 
 
-def _iroot4(n: int) -> int:
-    """Integer fourth root by binary search: largest r with r**4 <= n."""
-    if n < 0:
-        raise ValueError("fourth root of negative value")
-    if n == 0:
-        return 0
-    hi = 1
-    while hi ** 4 <= n:
-        hi <<= 1
-    lo = hi >> 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid ** 4 <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _verify_windowed(m: int, theorem: str) -> tuple[bool, str]:
     """Natural solution with a square value n**2 in the fourth-root window."""
     quad, lo_mult, hi_mult = _T14[theorem]
     lo4 = lo_mult * m
     hi4 = hi_mult * m
-    r = _iroot4(lo4)
+    r = isqrt(isqrt(lo4))
     nlo = r if r ** 4 == lo4 else r + 1
-    nhi = _iroot4(hi4)
+    nhi = isqrt(isqrt(hi4))
     tried = []
     for nn in range(nlo, nhi + 1):
         rem = hi4 - nn ** 4

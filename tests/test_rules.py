@@ -1,6 +1,7 @@
 """Transformation rules: identity suite, congruence conditions, transfer."""
 
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from foursq.lipschitz import Quaternion, conj, mul, norm, re, sandwich
 from foursq.solver import (
+    NINE_QUADRUPLES,
     RestrictedSolution,
     apply_rule,
     builtin_rules,
     check_solution,
     companion_source,
     identity_suite,
+    solve_linear_system,
 )
 
 RULES = builtin_rules()
@@ -220,3 +223,25 @@ class TestApplyRule:
             assert b2 is not None  # beta*u = v*beta' makes this exact
             assert b2 == pair.new_coeffs
             assert re(mul(b2, r)) == re(mul(beta, gamma))
+
+    def test_descent_finds_every_transferred_solution(self):
+        # The descent enumerates every solution at a given n, so whenever a
+        # companion solution transfers into a quadruple, the direct solve at
+        # the same n succeeds too; transfer never adds a solution.
+        for quad in NINE_QUADRUPLES:
+            comp = companion_source(quad)
+            rules = [r for r in RULES if r.target == quad]
+            for m in range(41):
+                for n in range(isqrt(quad.l * m) + 1):
+                    csol = solve_linear_system(m, n, comp)
+                    if csol is None:
+                        continue
+                    outs = [o for o in (apply_rule(r, csol) for r in rules)
+                            if o is not None]
+                    if outs:
+                        assert solve_linear_system(m, n, quad) is not None, \
+                            (m, n, tuple(quad))
+                    if any(all(v >= 0 or c == 0 for v, c in zip(o[:4], quad))
+                           for o in outs):
+                        assert solve_linear_system(m, n, quad, natural=True) \
+                            is not None, (m, n, tuple(quad))

@@ -267,6 +267,8 @@ class TestSolveRestricted:
     def test_pinned_value_must_be_in_set(self):
         with pytest.raises(ValueError):
             solve_restricted(15, (1, 1, 2, 2), "squares", n=3)
+        with pytest.raises(ValueError, match=r"^n\*\*2 = 256 exceeds l\*m = 10$"):
+            solve_restricted(1, (1, 1, 2, 2), "squares", n=16)
 
     def test_filters_are_sufficient_not_necessary(self):
         # No power of two survives the mod-3 filter for m=1 on (2,2,3,0),
@@ -275,6 +277,16 @@ class TestSolveRestricted:
         sol = solve_restricted(1, (2, 2, 3, 0), "pow2")
         assert sol.n == 2
         assert check_solution(1, (2, 2, 3, 0), "pow2", sol)
+        # In natural mode the admissible 0 has no natural solution, so the
+        # search moves on to the filtered-out value 4.
+        assert admissible_n(2, (1, 1, 2, 2), "squares") == [0]
+        assert solve_restricted(2, (1, 1, 2, 2), "squares", natural=True) == \
+            RestrictedSolution(0, 0, 1, 1, 4)
+        # The trace lists admissible values first, then the filtered-out ones.
+        assert admissible_n(2, (1, 1, 2, 2), "cubes") == [0]
+        with pytest.raises(NoSolutionError) as exc:
+            solve_restricted(2, (1, 1, 2, 2), "cubes", natural=True)
+        assert exc.value.tried == (0, 1)
 
     def test_first_admissible_value_always_succeeds(self):
         # The congruence filters are exactly strong enough: whenever the
