@@ -107,3 +107,9 @@ def masks_for(
         plane_sets[idx // ll].add((idx // l) % l)
     planes = tuple(tuple(sorted(s)) for s in plane_sets)
     return mask, planes
+
+
+@lru_cache(maxsize=None)
+def residue_array(residues: tuple[int, ...]) -> np.ndarray:
+    """One plane of `masks_for` as an int64 array, for the vectorized B-scan."""
+    return np.array(residues, dtype=np.int64)

@@ -32,13 +32,14 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("iroot exponent must be >= 1")
     if n in (0, 1) or k == 1:
         return n
-    r = int(round(n ** (1.0 / k)))
-    # float seed can be off by one in either direction; correct exactly
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    # Seed above the root from the bit length (no float overflow), then run
+    # Newton's method, which decreases monotonically onto the floor root.
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def is_three_square(n: int) -> bool:

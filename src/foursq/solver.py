@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _residues
 from .arith import iroot, is_square, is_three_square, four_square_reps
-from .lipschitz import Quaternion, mul, norm, sandwich
+from .lipschitz import (INT64_MAX, ArithmeticRangeError, Quaternion, mul, norm,
+                        sandwich)
 
 
 class UnsupportedQuadrupleError(ValueError):
@@ -456,6 +457,61 @@ def _maybe_square(v: int) -> bool:
     )
 
 
+# A B-scan with at least this many probes runs in numpy; shorter scans stay
+# scalar, where numpy's fixed cost per call (about 20 us) dominates.  Timing
+# both scans on every scan of verify blocks near 1e5, 1e9, 1e12 and the
+# 1.4a/1.4b thresholds put the crossover near 50 probes.
+_VECTOR_MIN_PROBES = 64
+# Below this remainder B*B, c2 and C*C fit in int64, and float64 square
+# roots of c2 are close enough to round to the exact root.
+_VECTOR_MAX_REM = 1 << 62
+
+
+def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
+                   bres: tuple[int, ...], base: int,
+                   mask: dict[int, int]) -> list[tuple[int, int, int]]:
+    """Hits (B, C, variant mask) with B*B + C*C = rem, B in [blo, bhi]."""
+    mask_get = mask.get
+    hits = []
+    for br in bres:
+        B = bhi - ((bhi - br) % l)
+        while B >= blo:
+            c2 = rem - B * B
+            if _maybe_square(c2):
+                C = isqrt(c2)
+                if C * C == c2:
+                    mk = mask_get(base + br * l + C % l)
+                    if mk:
+                        hits.append((B, C, mk))
+            B -= l
+    return hits
+
+
+def _scan_b_vector(rem: int, bhi: int, blo: int, l: int,
+                   bres: tuple[int, ...], base: int,
+                   mask: dict[int, int]) -> list[tuple[int, int, int]]:
+    """The same hits as `_scan_b_scalar`, from one int64 pass over every B.
+
+    Needs rem < _VECTOR_MAX_REM.  For a square c2 = C*C < 2**62 the float64
+    square root is within 2**-22 of C, so rounding it gives C exactly; the
+    int64 test C*C == c2 then keeps exactly the squares.
+    """
+    res = _residues.residue_array(bres)
+    starts = bhi - (bhi - res) % l
+    B = (starts[:, None] - np.arange(0, (bhi - blo) // l * l + 1, l)).ravel()
+    B = B[B >= blo]
+    c2 = rem - B * B
+    C = np.rint(np.sqrt(c2)).astype(np.int64)
+    sq = C * C == c2
+    mask_get = mask.get
+    hits = []
+    for Bv, Cv in zip(B[sq].tolist(), C[sq].tolist()):
+        mk = mask_get(base + Bv % l * l + Cv % l)
+        if mk:
+            hits.append((Bv, Cv, mk))
+    return hits
+
+
 def _descent_solutions(m: int, n: int,
                        quad: SystemQuadruple) -> Iterator[RestrictedSolution]:
     """Yield solutions at value n in the deterministic enumeration order.
@@ -463,7 +519,8 @@ def _descent_solutions(m: int, n: int,
     Canonical triples A >= B >= C >= 0 with A**2+B**2+C**2 = l*m - n**2 are
     visited in decreasing lexicographic order; within one triple the 48
     signed permutations are visited in variant order (permutations of
-    (A,B,C) lexicographically, then signs with + before -).
+    (A,B,C) lexicographically, then signs with + before -).  Long B-scans
+    run in numpy; the order is the same either way.
     """
     a, b, c, d = quad
     l = quad.l
@@ -471,7 +528,6 @@ def _descent_solutions(m: int, n: int,
     if big_r < 0 or not is_three_square(big_r):
         return
     mask, planes = _residues.masks_for(tuple(quad), l, n % l)
-    mask_get = mask.get
     ll = l * l
     A = isqrt(big_r)
     while A >= 0 and 3 * A * A >= big_r:
@@ -480,19 +536,10 @@ def _descent_solutions(m: int, n: int,
         if bres:
             bhi = min(A, isqrt(rem))
             blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
-            base = (A % l) * ll
-            hits = []
-            for br in bres:
-                B = bhi - ((bhi - br) % l)
-                while B >= blo:
-                    c2 = rem - B * B
-                    if _maybe_square(c2):
-                        C = isqrt(c2)
-                        if C * C == c2:
-                            mk = mask_get(base + br * l + C % l)
-                            if mk:
-                                hits.append((B, C, mk))
-                    B -= l
+            vector = ((bhi - blo) // l * len(bres) >= _VECTOR_MIN_PROBES
+                      and rem < _VECTOR_MAX_REM)
+            scan = _scan_b_vector if vector else _scan_b_scalar
+            hits = scan(rem, bhi, blo, l, bres, (A % l) * ll, mask)
             hits.sort(key=lambda h: -h[0])
             for B, C, mk in hits:
                 v = 0
@@ -521,6 +568,14 @@ def _naturalize(sol: RestrictedSolution,
     return None
 
 
+def _check_m(m: int, name: str = "m") -> None:
+    """The range contract of every solver entry point: 0 <= m <= INT64_MAX."""
+    if m < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if m > INT64_MAX:
+        raise ArithmeticRangeError(f"{name}={m} exceeds signed 64-bit range")
+
+
 def solve_linear_system(m: int, n: int, quad: Sequence[int],
                         natural: bool = False) -> Optional[RestrictedSolution]:
     """First solution of x**2+..+t**2 = m, ax+..+dt = n in enumeration order.
@@ -530,8 +585,7 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
     accepted (coordinates at zero coefficients may be freely flipped).
     """
     q = _as_quad(quad)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_m(m)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n * n > q.l * m:
@@ -579,8 +633,7 @@ def admissible_n(m: int, quad: Sequence[int],
     """
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_m(m)
     lm = q.l * m
     return [n for n in ts.values_upto(isqrt(lm))
             if is_three_square(r := lm - n * n)
@@ -597,6 +650,7 @@ def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
     ts = TargetSet.parse(kind)
     if M < 0:
         return []
+    _check_m(M, "M")
     if ts is TargetSet.CUBES:
         return [n for n in range(iroot(M, 6) + 1) if is_three_square(M - n ** 6)]
     if ts is TargetSet.SQUARES:
@@ -647,7 +701,8 @@ def solve_restricted(m: int, quad: Sequence[int],
     ascending order: first the admissible values (those passing the residue
     filter), then any remaining set members n with n**2 <= l*m and
     l*m - n**2 a sum of three squares.  Passing n pins the value instead.
-    Raises NoSolutionError with the full trace when every candidate fails.
+    Raises NoSolutionError with the full trace when every candidate fails,
+    and ArithmeticRangeError when m exceeds the signed 64-bit range.
 
     The descent is complete at each n, so the transformation rules are not
     a search step: they are certificates, re-checked by `identity_suite`
@@ -660,8 +715,7 @@ def solve_restricted(m: int, quad: Sequence[int],
     """
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_m(m)
     if n is None:
         values = _candidate_values(m, q, ts, natural)
     elif ts.contains(n):

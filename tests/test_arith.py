@@ -51,6 +51,20 @@ class TestIroot:
         r = iroot(n, k)
         assert r**k <= n < (r + 1) ** k
 
+    def test_beyond_float_range(self):
+        def bisect_root(n, k):
+            lo, hi = 0, 1 << (n.bit_length() // k + 1)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+            return lo
+
+        # 10**400 is a 2nd and 4th power, 10**402 a 3rd and 6th.
+        for k in (2, 3, 4, 6):
+            for n in (10**400, 10**402):
+                for j in range(-2, 3):
+                    assert iroot(n + j, k) == bisect_root(n + j, k), (k, j)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             iroot(-1, 2)

@@ -171,6 +171,22 @@ class TestCheckCommand:
         assert "error" in err
 
 
+class TestRangeContract:
+    def test_solve_beyond_int64_exits_three(self, capsys):
+        code, out, err = run(capsys, "solve", "--m", "10000000000000000001",
+                             "--quad", "1,1,2,2", "--set", "squares")
+        assert code == 3
+        assert out == ""
+        assert "exceeds signed 64-bit range" in err
+
+    def test_candidates_beyond_int64_exits_three(self, capsys):
+        code, out, err = run(capsys, "candidates", "--m", str(10**400),
+                             "--kind", "cubes")
+        assert code == 3
+        assert out == ""
+        assert "exceeds signed 64-bit range" in err
+
+
 class TestSelfChecks:
     def test_identities(self, capsys):
         code, out, _ = run(capsys, "identities")

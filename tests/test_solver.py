@@ -1,13 +1,16 @@
 """Solver: frozen examples, an independent enumeration reference, filters,
 candidate sets, and the restricted top-level search."""
 
+import itertools
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foursq import _residues, solver
 from foursq.arith import is_three_square, ord2, three_square_reps
+from foursq.lipschitz import INT64_MAX, ArithmeticRangeError
 from foursq.solver import (
     NINE_QUADRUPLES,
     NoSolutionError,
@@ -118,6 +121,128 @@ class TestSolveLinearSystem:
         sol = solve_linear_system(15, 9, (1, 1, 2, 2), natural=True)
         assert sol is not None
         assert all(v >= 0 for v in (sol.x, sol.y, sol.z, sol.t))
+
+
+def three_square_below(lm, n):
+    """The largest n' <= n with l*m - n'**2 a sum of three squares."""
+    while not is_three_square(lm - n * n):
+        n -= 1
+    return n
+
+
+def scan_args(m, n, quad, A):
+    """The arguments `_descent_solutions` passes to a B-scan at this A."""
+    l = quad.l
+    rem = l * m - n * n - A * A
+    mask, planes = _residues.masks_for(tuple(quad), l, n % l)
+    bhi = min(A, isqrt(rem))
+    blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
+    return rem, bhi, blo, l, planes[A % l], (A % l) * l * l, mask
+
+
+def walk(m, n, quad):
+    """The A values of the descent at (m, n) whose B-plane is nonempty."""
+    l = quad.l
+    big_r = l * m - n * n
+    _, planes = _residues.masks_for(tuple(quad), l, n % l)
+    return [A for A in range(isqrt(big_r), -1, -1)
+            if 3 * A * A >= big_r and planes[A % l]]
+
+
+def endpoint_hit(quad, scale, at_blo):
+    """(m, n, A) with m near scale whose B-scan at A hits B = blo or bhi.
+
+    Picks a residue class (A, B, C) mod l with a valid variant, then B near
+    1000*l with C in {B, B-1} (so B = blo) or C < l (so B = isqrt(rem) =
+    bhi), and A = B + (A - B) mod l; n fills l*m up to about l*scale.
+    """
+    l = quad.l
+    n = isqrt(l * scale - 3 * (1000 * l) ** 2)
+    while True:
+        mask, _ = _residues.masks_for(tuple(quad), l, n % l)
+        for key in sorted(mask):
+            a, b, c = key // (l * l), key // l % l, key % l
+            if at_blo and c not in (b, (b - 1) % l):
+                continue
+            B = 1000 * l + b
+            C = B - (b - c) % l if at_blo else c
+            A = B + (a - b) % l
+            norm = n * n + A * A + B * B + C * C
+            assert norm % l == 0
+            return norm // l, n, A
+        n -= 1
+
+
+class TestVectorScan:
+    """`_scan_b_vector` must return exactly `_scan_b_scalar`'s hits.
+
+    The reference enumeration above stops at m <= 40, where every scan is
+    shorter than the vector threshold, so the vector path is checked here.
+    """
+
+    SCALES = (10**5 + 3, 10**9 + 977, 10**12 + 977)
+
+    @staticmethod
+    def assert_same_hits(args):
+        scalar = solver._scan_b_scalar(*args)
+        vector = solver._scan_b_vector(*args)
+        assert sorted(vector, reverse=True) == sorted(scalar, reverse=True)
+        return scalar
+
+    def test_descent_walk(self):
+        for quad in NINE_QUADRUPLES:
+            for m in self.SCALES:
+                lm = quad.l * m
+                n = three_square_below(lm, isqrt(lm) - 100)
+                steps = walk(m, n, quad)
+                if m > 10**6:
+                    # Smallest rem first, then the middle, then the longest.
+                    mid = len(steps) // 6
+                    steps = steps[:3] + steps[mid:-mid:mid] + steps[-3:]
+                for A in steps:
+                    self.assert_same_hits(scan_args(m, n, quad, A))
+
+    def test_hits_at_both_ends(self):
+        for quad in NINE_QUADRUPLES:
+            for scale in self.SCALES[1:]:
+                for at_blo in (False, True):
+                    m, n, A = endpoint_hit(quad, scale, at_blo)
+                    big_r = quad.l * m - n * n
+                    assert 3 * A * A >= big_r >= A * A  # A is on the walk
+                    args = scan_args(m, n, quad, A)
+                    bhi, blo = args[1:3]
+                    end = blo if at_blo else bhi
+                    hits = self.assert_same_hits(args)
+                    assert end in [B for B, _, _ in hits], (quad, m, n, A)
+
+    def test_zero_remainder(self):
+        # l*m = 10 * 10**5 = 1000**2, so rem = 0 at n = 0, A = 1000.
+        args = scan_args(10**5, 0, NINE_QUADRUPLES[0], 1000)
+        assert args[0] == 0
+        assert self.assert_same_hits(args) == [(0, 0, args[-1][0])]
+
+    def test_enumeration_matches_scalar_only(self, monkeypatch):
+        m = 10**12 + 977
+        calls = []
+        vector = solver._scan_b_vector
+        monkeypatch.setattr(solver, "_scan_b_vector",
+                            lambda *args: calls.append(1) or vector(*args))
+
+        def first_solutions():
+            out = []
+            for quad in NINE_QUADRUPLES:
+                lm = quad.l * m
+                n = three_square_below(lm, isqrt(lm) - 1000)
+                out.append(list(itertools.islice(
+                    solver._descent_solutions(m, n, quad), 200)))
+            return out
+
+        default = first_solutions()
+        assert calls
+        calls.clear()
+        monkeypatch.setattr(solver, "_VECTOR_MIN_PROBES", float("inf"))
+        assert first_solutions() == default
+        assert not calls
 
 
 class TestAdmissibleN:
@@ -306,6 +431,16 @@ class TestSolveRestricted:
             sol = solve_restricted(m, (1, 2, 3, 5), "squares", natural=True)
             assert all(v >= 0 for v in (sol.x, sol.y, sol.z, sol.t))
             assert check_solution(m, (1, 2, 3, 5), "squares", sol)
+
+    def test_range_contract(self):
+        big = INT64_MAX + 1
+        for call in (lambda: solve_linear_system(big, 0, (1, 1, 2, 2)),
+                     lambda: solve_restricted(big, (1, 1, 2, 2), "squares"),
+                     lambda: admissible_n(big, (1, 1, 2, 2), "cubes"),
+                     lambda: candidate_set(big, "cubes")):
+            with pytest.raises(ArithmeticRangeError):
+                call()
+        assert candidate_set(INT64_MAX, "pow2")
 
     def test_deterministic(self):
         for m in (7, 50, 123):
