@@ -30,6 +30,10 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("iroot of negative number")
     if k < 1:
         raise ValueError("iroot exponent must be >= 1")
+    # Floor roots nest (floor(floor(n^(1/2))^(1/j)) = floor(n^(1/2j))), so
+    # even exponents go through math.isqrt, which is much faster than Newton.
+    while k % 2 == 0:
+        n, k = isqrt(n), k // 2
     if n in (0, 1) or k == 1:
         return n
     # Seed above the root from the bit length (no float overflow), then run

@@ -17,12 +17,10 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from math import isqrt
-from typing import NamedTuple, Optional, Sequence, Union
+from fractions import Fraction
+from typing import NamedTuple, Optional
 
-import mpmath
-
-from .arith import is_three_square
+from .arith import iroot, is_three_square
 from .solver import (
     NINE_QUADRUPLES,
     NoSolutionError,
@@ -63,12 +61,26 @@ _THEOREMS = {
     "1.3": _TheoremSpec(TargetSet.SQUARES, _FOUR_QUADRUPLES, 16, 4),
 }
 
-# Window verification: quadruple, window multipliers [lo*m, hi*m] for the
-# fourth power of the square root of the linear-form value.
-_T14 = {
-    "1.4a": (SystemQuadruple(1, 2, 3, 5), 38, 39),
-    "1.4b": (SystemQuadruple(2, 3, 4, 0), 28, 29),
+
+class _WindowSpec(NamedTuple):
+    quad: SystemQuadruple  # its norm l is the window's hi multiplier
+    lo: int                # the value n**2 needs n**4 in [lo*m, l*m]
+    need: int              # window length that certifies the statement
+    threshold: int         # certified: the window is long enough above it
+
+
+# For m at least (need / (l^(1/4) - lo^(1/4)))**4 the window
+# [(lo*m)^(1/4), (l*m)^(1/4)] has length >= need, so it contains an
+# integer of every residue class mod need.  The exact constants are
+# 3,739,366,402.9... for the 38/39 window (need 4) and 7,678,255,699.8...
+# for the 28/29 window (need 6); the thresholds are those constants
+# rounded up to three significant digits.
+_WINDOWS = {
+    "1.4a": _WindowSpec(SystemQuadruple(1, 2, 3, 5), 38, 4, 3_740_000_000),
+    "1.4b": _WindowSpec(SystemQuadruple(2, 3, 4, 0), 28, 6, 7_680_000_000),
 }
+
+WINDOW_BOUNDS = {th: w.threshold for th, w in _WINDOWS.items()}
 
 THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4a", "1.4b")
 
@@ -92,7 +104,7 @@ def reduce_m(m: int, theorem: str) -> int:
     th = _canon_theorem(theorem)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if th in _T14 or m == 0:
+    if th in _WINDOWS or m == 0:
         return m
     d = _THEOREMS[th].divisor
     while m % d == 0:
@@ -114,12 +126,12 @@ def _reduce_full(m: int, theorem: str) -> tuple[int, int]:
 
 def _verify_windowed(m: int, theorem: str) -> tuple[bool, str]:
     """Natural solution with a square value n**2 in the fourth-root window."""
-    quad, lo_mult, hi_mult = _T14[theorem]
-    lo4 = lo_mult * m
-    hi4 = hi_mult * m
-    r = isqrt(isqrt(lo4))
+    quad, lo, _, _ = _WINDOWS[theorem]
+    lo4 = lo * m
+    hi4 = quad.l * m
+    r = iroot(lo4, 4)
     nlo = r if r ** 4 == lo4 else r + 1
-    nhi = isqrt(isqrt(hi4))
+    nhi = iroot(hi4, 4)
     tried = []
     for nn in range(nlo, nhi + 1):
         rem = hi4 - nn ** 4
@@ -143,13 +155,13 @@ def _verify_windowed(m: int, theorem: str) -> tuple[bool, str]:
 def _verify_one(m: int, theorem: str,
                 quads: Optional[tuple] = None) -> tuple[str, list[dict]]:
     """Outcome code for one m: V (verified), R (reduced/skipped), F (failed)."""
-    if theorem in _T14:
+    if theorem in _WINDOWS:
         if m % 16 == 0:
             return "R", []
         ok, trace = _verify_windowed(m, theorem)
         if ok:
             return "V", []
-        quad = _T14[theorem][0]
+        quad = _WINDOWS[theorem].quad
         return "F", [{"m": m, "quad": list(quad), "trace": trace}]
     spec = _THEOREMS[theorem]
     quad_list = spec.quads if quads is None else quads
@@ -211,7 +223,7 @@ class VerificationJob:
         if self.chunk < 1:
             raise ValueError("chunk size must be >= 1")
         if self.quads is not None:
-            if self.theorem in _T14:
+            if self.theorem in _WINDOWS:
                 raise ValueError("quad filter is not available for windowed "
                                  "verification")
             allowed = set(_THEOREMS[self.theorem].quads)
@@ -264,8 +276,7 @@ def _load_checkpoint(path: str, job: VerificationJob) -> dict[int, dict]:
         return {}
     with open(path) as fh:
         data = json.load(fh)
-    digest = data.pop("sha256", None)
-    if digest != _digest(data):
+    if not isinstance(data, dict) or data.pop("sha256", None) != _digest(data):
         raise ValueError(f"checkpoint {path} failed its integrity check")
     key = _job_key(job)
     if {k: data.get(k) for k in key} != key:
@@ -313,7 +324,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
             record(i, _run_chunk(job.theorem, start, end, job.quads,
                                  job.failure_cap))
     else:
-        executor = ProcessPoolExecutor(max_workers=workers)
+        executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
         try:
             futures = {}
             for i in pending:
@@ -363,82 +374,62 @@ def canonical_report_bytes(report: dict) -> bytes:
 # Window-bound constants
 # --------------------------------------------------------------------------
 
-# For m at least (need / (hi^(1/4) - lo^(1/4)))**4 the window
-# [(lo*m)^(1/4), (hi*m)^(1/4)] has length >= need, so it contains an
-# integer of every residue class mod need.  The exact constants are
-# 3,739,366,402.9... for the 38/39 window (need 4) and 7,678,255,699.8...
-# for the 28/29 window (need 6); the thresholds below are those constants
-# rounded up to three significant digits.
-WINDOW_BOUNDS = {
-    "1.4a": 3_740_000_000,
-    "1.4b": 7_680_000_000,
-}
-
-_WINDOW_PARAMS = {
-    # theorem -> (hi multiplier, lo multiplier, needed window length)
-    "1.4a": (39, 38, 4),
-    "1.4b": (29, 28, 6),
-}
-
-
-def _iv_root4(x):
-    return mpmath.iv.sqrt(mpmath.iv.sqrt(x))
-
-
 def window_length_ok(m: int, theorem: str) -> bool:
-    """Certified check that the fourth-root window at m is long enough.
+    """Exact check that the fourth-root window at m is long enough.
 
     For 1.4a the window [(38m)^(1/4), (39m)^(1/4)] must have length >= 4;
-    for 1.4b the 28/29 window must have length >= 6.  Uses interval
-    arithmetic, so True is a guarantee; the window grows monotonically with
-    m, so True at m implies True for everything above m.
+    for 1.4b the 28/29 window must have length >= 6.  Decided in integers:
+    the length is >= need iff (need + x)**4 <= l*m with x = (lo*m)^(1/4),
+    and x is bracketed by floor roots of lo*m scaled by 2**(4k).  The
+    window grows monotonically with m, so True at m implies True for
+    everything above m.
     """
     th = _canon_theorem(theorem)
-    if th not in _T14:
+    if th not in _WINDOWS:
         raise ValueError(f"theorem {theorem!r} has no window")
-    hi_mult, lo_mult, need = _WINDOW_PARAMS[th]
-    saved = mpmath.iv.prec
-    mpmath.iv.prec = 200
-    try:
-        w = _iv_root4(mpmath.iv.mpf(hi_mult * m)) - \
-            _iv_root4(mpmath.iv.mpf(lo_mult * m))
-        return bool(w.a >= need)
-    finally:
-        mpmath.iv.prec = saved
+    quad, lo, need, _ = _WINDOWS[th]
+    # Equality, (l*m)^(1/4) - (lo*m)^(1/4) = need, would make both roots
+    # rational (an irrational root has a conjugate i**j times it that
+    # solves the same equation), so lo*m and l*m would be fourth powers of
+    # integers and l/lo a rational fourth power; 39/38 and 29/28 are not,
+    # so every m is decided at some finite k.
+    k = 0
+    while True:
+        a = iroot((lo * m) << 4 * k, 4)   # a <= x * 2**k < a + 1
+        top = (quad.l * m) << 4 * k
+        if ((need << k) + a + 1) ** 4 <= top:
+            return True
+        if ((need << k) + a) ** 4 > top:
+            return False
+        k += 32
 
 
 def window_constants() -> dict:
-    """Certified facts about the two window thresholds.
+    """Exact facts about the two window thresholds.
 
-    For each windowed statement: a rigorous upper bound on the governing
-    constant (need/(hi^(1/4)-lo^(1/4)))**4, the threshold the package
-    certifies, and whether constant < threshold and the window is long
-    enough at the threshold.
+    For each windowed statement: an upper bound on the governing constant
+    (need/(l^(1/4)-lo^(1/4)))**4, the threshold the package certifies, and
+    whether constant < threshold and the window is long enough at the
+    threshold.  The bound is an exact Fraction built from floor fourth roots
+    scaled by 2**64; it is compared exactly and reported as a float.
     """
+    k = 64
     out = {}
-    saved = mpmath.iv.prec
-    mpmath.iv.prec = 200
-    try:
-        for th, (hi_mult, lo_mult, need) in _WINDOW_PARAMS.items():
-            gap = _iv_root4(mpmath.iv.mpf(hi_mult)) - \
-                _iv_root4(mpmath.iv.mpf(lo_mult))
-            const = (mpmath.iv.mpf(need) / gap) ** 4
-            bound = WINDOW_BOUNDS[th]
-            out[th] = {
-                "constant_upper": float(const.b),
-                "threshold": bound,
-                "constant_below_threshold": bool(const.b < mpmath.mpf(bound)),
-            }
-    finally:
-        mpmath.iv.prec = saved
-    for th in _WINDOW_PARAMS:
-        out[th]["window_ok_at_threshold"] = window_length_ok(
-            WINDOW_BOUNDS[th], th)
+    for th, (quad, lo, need, bound) in _WINDOWS.items():
+        # gap < (l^(1/4) - lo^(1/4)) * 2**k, so const is an upper bound
+        gap = iroot(quad.l << 4 * k, 4) - iroot(lo << 4 * k, 4) - 1
+        const = Fraction(need << k, gap) ** 4
+        out[th] = {
+            "constant_upper": float(const),
+            "threshold": bound,
+            "constant_below_threshold": const < bound,
+            "window_ok_at_threshold": window_length_ok(bound, th),
+        }
     return out
 
 
 def check_bounds() -> bool:
-    """Certify both window thresholds with interval arithmetic.
+    """Certify both window thresholds in exact integer arithmetic.
 
     Confirms (4/(39^(1/4)-38^(1/4)))**4 < 3.74e9 and
     (6/(29^(1/4)-28^(1/4)))**4 < 7.68e9, and that at each threshold the

@@ -2,9 +2,15 @@
 
 import json
 import os
+import random
+import subprocess
+import sys
 
+import mpmath
 import pytest
 
+import foursq
+from foursq import verifier
 from foursq.solver import SystemQuadruple
 from foursq.verifier import (
     THEOREM_IDS,
@@ -170,6 +176,50 @@ class TestBounds:
         assert window_length_ok(WINDOW_BOUNDS["1.4a"], "1.4a") is True
         assert window_length_ok(WINDOW_BOUNDS["1.4b"], "1.4b") is True
 
+    @pytest.mark.parametrize("theorem,hi,lo,need", [("1.4a", 39, 38, 4),
+                                                    ("1.4b", 29, 28, 6)])
+    def test_window_agrees_with_interval_arithmetic(self, theorem, hi, lo,
+                                                    need):
+        # The certificate used to be 200-bit interval arithmetic; recompute
+        # that formula here and demand the same verdict near the governing
+        # constant (where the length is within ~5e-7 of need), at the edges
+        # and on random m.
+        saved = mpmath.iv.prec
+        mpmath.iv.prec = 200
+        try:
+            def root4(x):
+                return mpmath.iv.sqrt(mpmath.iv.sqrt(mpmath.iv.mpf(x)))
+
+            def interval_ok(m):
+                return bool((root4(hi * m) - root4(lo * m)).a >= need)
+
+            with mpmath.workdps(50):
+                c = int(mpmath.ceil(
+                    (need / (mpmath.root(hi, 4) - mpmath.root(lo, 4))) ** 4))
+            rng = random.Random(2020)
+            ms = (list(range(c - 2000, c + 2001))
+                  + [0, 1, 10**3, *WINDOW_BOUNDS.values(), 10**40]
+                  + [rng.randrange(10**15) for _ in range(500)])
+            got = [window_length_ok(m, theorem) for m in ms]
+            want = [interval_ok(m) for m in ms]
+        finally:
+            mpmath.iv.prec = saved
+        assert got == want
+        assert got[1999:2001] == [False, True]   # at c - 1 and c
+
+    def test_runtime_does_not_import_mpmath(self):
+        src = os.path.dirname(os.path.dirname(foursq.__file__))
+        code = ("import sys; sys.modules['mpmath'] = None; "
+                "from foursq.cli import main; "
+                "raise SystemExit(main(['bounds']) or main(["
+                "'verify', '--theorem', '1.4b', '--lo', '7680000000', "
+                "'--hi', '7680000020', '--workers', '1']))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "bounds hold" in proc.stdout
+
 
 class TestDeterminism:
     def test_reports_identical_across_workers_and_chunks(self):
@@ -193,6 +243,28 @@ class TestDeterminism:
         monkeypatch.setenv("FOURSQ_THREADS", "1")
         report = verify_theorem(VerificationJob("1.3", 0, 40))
         assert report["failed"] == 0
+
+
+class TestPoolSize:
+    def test_pool_never_larger_than_pending_chunks(self, monkeypatch):
+        # The pool forks all of its workers at the first submit, so it must
+        # be sized by the work, not by the requested worker count.  The
+        # assertion runs before the real pool exists: a violation starts
+        # no process.
+        sizes = []
+
+        class CheckedPool(verifier.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                assert max_workers <= 2
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", CheckedPool)
+        job = VerificationJob("1.1", 0, 32, chunk=16)
+        report = verify_theorem(job, workers=500)
+        assert sizes == [2]
+        serial = verify_theorem(job, workers=1)
+        assert canonical_report_bytes(report) == canonical_report_bytes(serial)
 
 
 class TestCheckpointing:
@@ -236,6 +308,14 @@ class TestCheckpointing:
         data = json.loads(cp.read_text())
         data["chunks"]["0"]["verified"] += 1
         cp.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="integrity"):
+            verify_theorem(job, workers=1)
+
+    @pytest.mark.parametrize("content", ["[]", '"x"', "3"])
+    def test_non_object_checkpoint_rejected(self, tmp_path, content):
+        cp = tmp_path / "ckpt.json"
+        cp.write_text(content)
+        job = VerificationJob("1.1", 0, 40, chunk=16, checkpoint=str(cp))
         with pytest.raises(ValueError, match="integrity"):
             verify_theorem(job, workers=1)
 
