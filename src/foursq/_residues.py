@@ -9,6 +9,11 @@ map from the residue class of a canonical triple (A, B, C) to the bitmask
 of valid signed-permutation variants.  The solver then only has to probe
 classes along its enumeration order.
 
+The valid rho are the right multiples of beta, a lattice of index l**2 in
+Z**4, so for each n mod l exactly l signed triples mod l are valid.  Each
+table is therefore built from those l triples: bit v is set on the class
+that variant v maps onto each of them.
+
 Internal module: everything here is an implementation detail of
 foursq.solver.
 """
@@ -53,34 +58,6 @@ def mmatrix(quad: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int],
 
 
 @lru_cache(maxsize=None)
-def _remaps(l: int) -> tuple[np.ndarray, ...]:
-    """48 index arrays over the l**3 residue classes, one per variant."""
-    grid = np.indices((l, l, l)).reshape(3, -1)
-    out = []
-    for v in range(48):
-        p = PERMS[v >> 3]
-        comps = []
-        for bit, src in zip((4, 2, 1), p):
-            g = grid[src]
-            comps.append((-g) % l if v & bit else g)
-        idx = (comps[0] * l + comps[1]) * l + comps[2]
-        out.append(idx.astype(np.int32))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _base_keys(quad: tuple[int, int, int, int], l: int) -> np.ndarray:
-    """Packed residues of M[:,1:] @ (A,B,C) mod l over all classes."""
-    m = mmatrix(quad)
-    grid = np.indices((l, l, l)).reshape(3, -1).astype(np.int64)
-    key = np.zeros(grid.shape[1], dtype=np.int64)
-    for row in m:
-        r = (row[1] * grid[0] + row[2] * grid[1] + row[3] * grid[2]) % l
-        key = key * l + r
-    return key.astype(np.int32)
-
-
-@lru_cache(maxsize=None)
 def masks_for(
     quad: tuple[int, int, int, int], l: int, n_mod: int
 ) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
@@ -91,16 +68,21 @@ def masks_for(
     integral gamma).  planes[a]: sorted B-residues that can possibly hit,
     given A % l == a.
     """
-    m = mmatrix(quad)
-    key_n = 0
-    for row in m:
-        key_n = key_n * l + (-n_mod * row[0]) % l
-    kb = _base_keys(quad, l)
-    acc = np.zeros(kb.shape[0], dtype=np.uint64)
-    for v, rm in enumerate(_remaps(l)):
-        acc |= (kb[rm] == key_n).astype(np.uint64) << np.uint64(v)
-    nz = np.nonzero(acc)[0]
-    mask = dict(zip(nz.tolist(), acc[nz].tolist()))
+    grid = np.indices((l, l, l)).reshape(3, -1)
+    valid = np.ones(grid.shape[1], dtype=bool)
+    for row in mmatrix(quad):
+        valid &= (row[0] * n_mod + row[1] * grid[0] + row[2] * grid[1]
+                  + row[3] * grid[2]) % l == 0
+    mask: dict[int, int] = {}
+    for t in grid[:, valid].T.tolist():
+        for v in range(48):
+            # The class c with signed_permutation(c, v) == t (mod l):
+            # un-negate t, then un-permute.
+            c = [0, 0, 0]
+            for i, bit in enumerate((4, 2, 1)):
+                c[PERMS[v >> 3][i]] = -t[i] % l if v & bit else t[i]
+            idx = (c[0] * l + c[1]) * l + c[2]
+            mask[idx] = mask.get(idx, 0) | 1 << v
     plane_sets: list[set[int]] = [set() for _ in range(l)]
     ll = l * l
     for idx in mask:

@@ -84,6 +84,9 @@ WINDOW_BOUNDS = {th: w.threshold for th, w in _WINDOWS.items()}
 
 THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4a", "1.4b")
 
+# A report lists at most this many failures (its counts cover them all).
+_FAILURE_CAP = 100
+
 
 def _canon_theorem(theorem: str) -> str:
     name = theorem.strip()
@@ -104,12 +107,9 @@ def reduce_m(m: int, theorem: str) -> int:
     th = _canon_theorem(theorem)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if th in _WINDOWS or m == 0:
+    if th in _WINDOWS:
         return m
-    d = _THEOREMS[th].divisor
-    while m % d == 0:
-        m //= d
-    return m
+    return _reduce_full(m, th)[0]
 
 
 def _reduce_full(m: int, theorem: str) -> tuple[int, int]:
@@ -185,14 +185,14 @@ def _verify_one(m: int, theorem: str,
 
 
 def _run_chunk(theorem: str, start: int, end: int,
-               quads: Optional[tuple], cap: int) -> dict:
+               quads: Optional[tuple]) -> dict:
     codes = []
     failures: list[dict] = []
     for m in range(start, end):
         code, fails = _verify_one(m, theorem, quads)
         codes.append(code)
-        if len(failures) < cap:
-            failures.extend(fails[: cap - len(failures)])
+        if len(failures) < _FAILURE_CAP:
+            failures.extend(fails[: _FAILURE_CAP - len(failures)])
     return {
         "verified": codes.count("V"),
         "reduced": codes.count("R"),
@@ -212,7 +212,6 @@ class VerificationJob:
     chunk: int = 1024
     quads: Optional[tuple[SystemQuadruple, ...]] = None
     checkpoint: Optional[str] = None
-    failure_cap: int = 100
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theorem", _canon_theorem(self.theorem))
@@ -252,11 +251,7 @@ def _job_key(job: VerificationJob) -> dict:
 
 def _save_checkpoint(path: str, job: VerificationJob,
                      done: dict[int, dict]) -> None:
-    prefix = 0
-    while prefix in done:
-        prefix += 1
     payload = dict(_job_key(job))
-    payload["prefix"] = prefix
     payload["chunks"] = {str(i): done[i] for i in sorted(done)}
     payload["sha256"] = _digest({k: v for k, v in payload.items()})
     directory = os.path.dirname(os.path.abspath(path))
@@ -321,8 +316,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     if workers <= 1 or len(pending) <= 1:
         for i in pending:
             start, end = bounds(i)
-            record(i, _run_chunk(job.theorem, start, end, job.quads,
-                                 job.failure_cap))
+            record(i, _run_chunk(job.theorem, start, end, job.quads))
     else:
         executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
         try:
@@ -330,7 +324,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
             for i in pending:
                 start, end = bounds(i)
                 futures[executor.submit(_run_chunk, job.theorem, start, end,
-                                        job.quads, job.failure_cap)] = i
+                                        job.quads)] = i
             for fut in as_completed(futures):
                 record(futures[fut], fut.result())
         finally:
@@ -344,8 +338,8 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         verified += rec["verified"]
         reduced += rec["reduced"]
         failed += rec["failed"]
-        if len(failures) < job.failure_cap:
-            failures.extend(rec["failures"][: job.failure_cap - len(failures)])
+        if len(failures) < _FAILURE_CAP:
+            failures.extend(rec["failures"][: _FAILURE_CAP - len(failures)])
         codes.append(rec["codes"])
     wall = max(time.monotonic() - t0, 1e-9)
     report = {

@@ -2,6 +2,7 @@
 candidate sets, and the restricted top-level search."""
 
 import itertools
+import random
 from math import isqrt
 
 import pytest
@@ -171,6 +172,51 @@ def endpoint_hit(quad, scale, at_blo):
             assert norm % l == 0
             return norm // l, n, A
         n -= 1
+
+
+def mask_bits(quad, l, n, cls):
+    """Bit v set iff variant v of the class (A, B, C) makes every component
+    of M @ (n, A', B', C') vanish mod l: the definition of `masks_for`."""
+    a, b, c, d = quad
+    bits = 0
+    for v in range(48):
+        A, B, C = _residues.signed_permutation(cls, v)
+        if ((a * n + b * A + c * B + d * C) % l == 0
+                and (-b * n + a * A - d * B + c * C) % l == 0
+                and (-c * n + d * A + a * B - b * C) % l == 0
+                and (-d * n - c * A + b * B + a * C) % l == 0):
+            bits |= 1 << v
+    return bits
+
+
+class TestMasks:
+    """`masks_for` against its definition, for every quadruple the descent
+    uses: n = 0, the units 1 and l - 1, and a zero divisor when l is
+    composite."""
+
+    @staticmethod
+    def residues_of(l):
+        zero_divisors = [p for p in range(2, l) if l % p == 0]
+        return [0, 1, l - 1] + zero_divisors[:1]
+
+    @pytest.mark.parametrize("quad", ALL_QUADS, ids=str)
+    def test_against_definition(self, quad):
+        l = quad.l
+        rng = random.Random(l)
+        for n in self.residues_of(l):
+            mask, planes = _residues.masks_for(tuple(quad), l, n)
+            assert all(mask.values())
+            if l <= 13:
+                classes = range(l ** 3)
+            else:
+                classes = set(mask) | set(rng.sample(range(l ** 3), 100))
+            for idx in classes:
+                cls = (idx // (l * l), idx // l % l, idx % l)
+                assert mask.get(idx, 0) == mask_bits(quad, l, n, cls), (n, cls)
+            assert planes == tuple(
+                tuple(sorted({idx // l % l for idx in mask
+                              if idx // (l * l) == a}))
+                for a in range(l))
 
 
 class TestVectorScan:

@@ -1,5 +1,6 @@
 """Verification harness: reduction, windowed checks, checkpointing, reports."""
 
+import hashlib
 import json
 import os
 import random
@@ -310,6 +311,25 @@ class TestCheckpointing:
         cp.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="integrity"):
             verify_theorem(job, workers=1)
+
+    def test_checkpoint_with_prefix_field_resumes(self, tmp_path):
+        # Earlier releases also wrote a "prefix" field (the number of
+        # leading finished chunks), covered by the digest.
+        cp = tmp_path / "ckpt.json"
+        job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
+        with pytest.raises(_SimulatedInterrupt):
+            verify_theorem(job, workers=1, _stop_after_chunks=3)
+        data = json.loads(cp.read_text())
+        del data["sha256"]
+        data["prefix"] = 3
+        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        data["sha256"] = hashlib.sha256(blob.encode()).hexdigest()
+        cp.write_text(json.dumps(data))
+        resumed = verify_theorem(job, workers=1)
+        fresh = verify_theorem(VerificationJob("1.1", 0, 120, chunk=16),
+                               workers=1)
+        assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
+        assert "prefix" not in json.loads(cp.read_text())
 
     @pytest.mark.parametrize("content", ["[]", '"x"', "3"])
     def test_non_object_checkpoint_rejected(self, tmp_path, content):
