@@ -11,7 +11,6 @@ related coefficient quadruples via quaternion identities beta*u == v*beta'.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -20,7 +19,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _residues
+from . import _residues, oracle
 from .arith import iroot, is_square, is_three_square, four_square_reps
 from .lipschitz import (INT64_MAX, ArithmeticRangeError, Quaternion, mul, norm,
                         sandwich)
@@ -590,6 +589,10 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
         raise ValueError("n must be nonnegative")
     if n * n > q.l * m:
         raise ValueError(f"n**2 = {n * n} exceeds l*m = {q.l * m}")
+    # With every coefficient positive a natural solution has
+    # n >= min(q) * (x+y+z+t) >= min(q) * sqrt(m), so none exists below.
+    if natural and min(q) > 0 and n * n < min(q) ** 2 * m:
+        return None
     for sol in _descent_solutions(m, n, q):
         if not natural:
             _validate(sol, m, q)
@@ -752,22 +755,14 @@ def check_solution(m: int, quad: Sequence[int],
 ORACLE_DEFAULT_BOUND = 10 ** 6
 
 
-@lru_cache(maxsize=4)
-def _signed_variants(m: int) -> np.ndarray:
-    """All integer 4-tuples of norm m, lexicographically ascending."""
-    seen = set()
-    for rep in four_square_reps(m):
-        for perm in set(itertools.permutations(rep)):
-            for signs in itertools.product((1, -1), repeat=4):
-                seen.add(tuple(s * v for s, v in zip(signs, perm)))
-    return np.array(sorted(seen), dtype=np.int64).reshape(-1, 4)
-
-
 def brute_force_oracle(m: int, quad: Sequence[int],
                        target_set: Union[str, TargetSet],
                        bound: int = ORACLE_DEFAULT_BOUND
                        ) -> Optional[RestrictedSolution]:
     """Reference solver: exhaustive scan over all norm-m tuples.
+
+    The scan lives in `foursq.oracle`, which shares no code with the
+    descent; this entry point adds the validation and the bound.
 
     Returns the solution with the smallest achieved value, breaking ties by
     the lexicographically least tuple; None when no tuple lands in the set.
@@ -779,17 +774,5 @@ def brute_force_oracle(m: int, quad: Sequence[int],
         raise ValueError("m must be nonnegative")
     if m > bound:
         raise ResourceLimitError(f"oracle limited to m <= {bound}, got {m}")
-    variants = _signed_variants(m)
-    if variants.size == 0:
-        return None
-    nvec = variants @ np.array(q, dtype=np.int64)
-    nmax = int(nvec.max())
-    members = np.array(ts.values_upto(nmax), dtype=np.int64)
-    hits = np.isin(nvec, members)
-    idx = np.nonzero(hits)[0]
-    if idx.size == 0:
-        return None
-    best = idx[nvec[idx] == nvec[idx].min()][0]
-    row = variants[best]
-    return RestrictedSolution(int(row[0]), int(row[1]), int(row[2]),
-                              int(row[3]), int(nvec[best]))
+    sol = oracle.least_solution(m, q, ts.value)
+    return None if sol is None else RestrictedSolution(*sol)

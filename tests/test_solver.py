@@ -1,16 +1,19 @@
 """Solver: frozen examples, an independent enumeration reference, filters,
 candidate sets, and the restricted top-level search."""
 
+import ast
 import itertools
 import random
+import sys
+import time
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foursq import _residues, solver
-from foursq.arith import is_three_square, ord2, three_square_reps
+from foursq import _residues, oracle, solver
+from foursq.arith import iroot, is_three_square, ord2, three_square_reps
 from foursq.lipschitz import INT64_MAX, ArithmeticRangeError
 from foursq.solver import (
     NINE_QUADRUPLES,
@@ -346,8 +349,9 @@ class TestCandidateSet:
         # Guaranteed members of C_m, split by the residue of m.
         for m in range(1, 10001):
             cm = set(candidate_set(m, "cubes"))
-            evens = [n for n in range(0, m, 2) if n**6 < m]
-            odds = [n for n in range(1, m, 2) if n**6 < m]
+            top = min(m, iroot(m, 6) + 1)
+            evens = [n for n in range(0, top, 2) if n**6 < m]
+            odds = [n for n in range(1, top, 2) if n**6 < m]
             if m % 8 in (1, 2, 3, 5, 6):
                 assert set(evens) <= cm, m
             if m % 8 in (2, 3, 4, 6, 7):
@@ -356,15 +360,15 @@ class TestCandidateSet:
                 assert set(evens) <= cm, m
             if m % 2 == 0 and ord2(m) == 4:
                 if (m // 16) % 8 in (1, 3, 5):
-                    assert {n for n in range(0, m, 4) if n**6 <= m} <= cm, m
+                    assert {n for n in range(0, top, 4) if n**6 <= m} <= cm, m
                 if (m // 16) % 8 in (1, 5, 7):
-                    assert {n for n in range(2, m, 4) if n**6 <= m} <= cm, m
+                    assert {n for n in range(2, top, 4) if n**6 <= m} <= cm, m
             if m % 2 == 0 and ord2(m) == 6:
                 if (m // 64) % 8 in (1, 3, 5):
-                    assert {n for n in range(0, m, 4) if n**6 <= m} <= cm, m
+                    assert {n for n in range(0, top, 4) if n**6 <= m} <= cm, m
                 # class 5 admits exceptions (m=1856: 1856-64 = 4**4 * 7)
                 if (m // 64) % 8 in (3, 7):
-                    assert {n for n in range(2, m, 4) if n**6 <= m} <= cm, m
+                    assert {n for n in range(2, top, 4) if n**6 <= m} <= cm, m
 
     def test_power_candidate_congruence_claims(self):
         for m in range(1, 10001):
@@ -392,8 +396,9 @@ class TestCandidateSet:
     def test_square_candidate_congruence_claims(self):
         for m in range(1, 10001):
             sm = set(candidate_set(m, "squares"))
-            evens = [n for n in range(0, m, 2) if n**4 < m]
-            odds = [n for n in range(1, m, 2) if n**4 < m]
+            top = min(m, iroot(m, 4) + 1)
+            evens = [n for n in range(0, top, 2) if n**4 < m]
+            odds = [n for n in range(1, top, 2) if n**4 < m]
             if m % 8 in (1, 2, 3, 5, 6):
                 assert set(evens) <= sm, m
             if m % 8 in (2, 3, 4, 6, 7):
@@ -402,11 +407,11 @@ class TestCandidateSet:
                 assert set(evens) <= sm, m
             if m % 2 == 0 and ord2(m) == 4:
                 if (m // 16) % 8 in (1, 3, 5):
-                    assert {n for n in range(0, m, 4) if n**4 <= m} <= sm, m
+                    assert {n for n in range(0, top, 4) if n**4 <= m} <= sm, m
                 # unlike the sixth-power case the odd part loses a factor of
                 # 4, so only classes 3 and 7 survive (m=464: 464-16 = 4**3 * 7)
                 if (m // 16) % 8 in (3, 7):
-                    assert {n for n in range(2, m, 4) if n**4 <= m} <= sm, m
+                    assert {n for n in range(2, top, 4) if n**4 <= m} <= sm, m
 
 
 class TestSolveRestricted:
@@ -478,6 +483,20 @@ class TestSolveRestricted:
             assert all(v >= 0 for v in (sol.x, sol.y, sol.z, sol.t))
             assert check_solution(m, (1, 2, 3, 5), "squares", sol)
 
+    def test_natural_bound_decides_at_once(self):
+        # All coefficients positive: a natural solution needs
+        # n >= min(quad) * sqrt(m), so n = 64, 32, 16 at m = 1e9 fail
+        # without a descent (which took about 20 s in all).
+        start = time.monotonic()
+        with pytest.raises(NoSolutionError) as exc:
+            solve_restricted(10**9, (1, 1, 2, 4), "pow2", natural=True)
+        assert time.monotonic() - start < 2.0
+        assert exc.value.tried == (64, 32, 16)
+        # The bound is tight: n = sqrt(m) is reached by (sqrt(m), 0, 0, 0).
+        assert solve_linear_system(9, 2, (1, 1, 2, 4), natural=True) is None
+        sol = solve_linear_system(9, 3, (1, 1, 2, 4), natural=True)
+        assert sol is not None and sol.n == 3
+
     def test_range_contract(self):
         big = INT64_MAX + 1
         for call in (lambda: solve_linear_system(big, 0, (1, 1, 2, 2)),
@@ -511,6 +530,47 @@ class TestBruteForceOracle:
     def test_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
             brute_force_oracle(10**6 + 1, (1, 1, 2, 2), "squares")
+
+    def test_imports_only_numpy_and_stdlib(self):
+        # The oracle checks the descent, so it must not reach code under test.
+        with open(oracle.__file__) as fh:
+            tree = ast.parse(fh.read())
+        allowed = set(sys.stdlib_module_names) | {"numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import in oracle.py"
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, name
+
+    def test_matches_definition(self):
+        # Smallest value in the set, then the lexicographically least tuple,
+        # over a plain loop on [-s, s]**4 (product order is lexicographic).
+        def member(n, ts):
+            if ts is TargetSet.POW2:
+                return n > 0 and n & (n - 1) == 0
+            k = 2 if ts is TargetSet.SQUARES else 3
+            return n >= 0 and any(r**k == n for r in range(n + 1))
+
+        for m in range(41):
+            s = isqrt(m)
+            tuples = [v for v in itertools.product(range(-s, s + 1), repeat=4)
+                      if sum(c * c for c in v) == m]
+            assert [tuple(r) for r in oracle.norm_tuples(m).tolist()] == tuples
+            for quad in NINE_QUADRUPLES:
+                for ts in TargetSet:
+                    hits = [(n, v) for v in tuples
+                            if member(n := sum(a * c for a, c in zip(quad, v)), ts)]
+                    want = None
+                    if hits:
+                        n, v = min(hits)
+                        want = RestrictedSolution(*v, n)
+                    assert brute_force_oracle(m, quad, ts) == want, \
+                        (m, tuple(quad), ts)
 
     def test_agrees_with_solver_on_sample(self):
         for m in range(151):
