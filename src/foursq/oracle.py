@@ -29,8 +29,6 @@ def norm_tuples(m: int) -> np.ndarray:
     each run of equal norm stays lexicographic; joining the pairs in
     number order to their partner runs emits the rows already in order.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     s = isqrt(m)
     xs = np.arange(-s, s + 1, dtype=np.int64)
     # The float root truncates to the exact floor root below 2**52.
@@ -61,23 +59,20 @@ def norm_tuples(m: int) -> np.ndarray:
 
 
 def _members(n: np.ndarray, target: str) -> np.ndarray:
-    """Boolean mask of the values of n that lie in the target set."""
+    """Boolean mask of the values of n in the target set."""
     if target == "pow2":
         return (n > 0) & ((n & (n - 1)) == 0)
     # The root of |n| is nonnegative, so a negative n never matches it.
     if target == "squares":
         root = np.rint(np.sqrt(np.abs(n))).astype(np.int64)
         return root * root == n
-    if target == "cubes":
-        root = np.rint(np.cbrt(np.abs(n))).astype(np.int64)
-        return root * root * root == n
-    raise ValueError(f"unknown value set {target!r} "
-                     "(expected squares, cubes or pow2)")
+    root = np.rint(np.cbrt(np.abs(n))).astype(np.int64)
+    return root * root * root == n
 
 
-# Nine entries hold the values of all nine quadruples at one m; more only
-# add memory, since callers sweep all systems of one m before the next.
-@lru_cache(maxsize=9)
+# Callers loop over the quadruples and, within each, over the three sets,
+# so one entry serves the second and third set of the same (m, quad).
+@lru_cache(maxsize=1)
 def _linear_values(m: int, quad: tuple[int, int, int, int]) -> np.ndarray:
     """ax+by+cz+dt on every row of norm_tuples(m), shared by the sets."""
     n = norm_tuples(m) @ np.asarray(quad, dtype=np.int64)
@@ -90,7 +85,8 @@ def least_solution(m: int, quad: Sequence[int], target: str
     """(x, y, z, t, n) with the smallest n = ax+by+cz+dt in the target set.
 
     Ties go to the lexicographically least tuple.  None when no tuple of
-    norm m has its value in the set.
+    norm m has its value in the set.  m and target are not checked here:
+    `foursq.solver.brute_force_oracle` validates them.
     """
     n = _linear_values(m, tuple(quad))
     member = _members(n, target)
