@@ -2,6 +2,7 @@
 candidate sets, and the restricted top-level search."""
 
 import ast
+import hashlib
 import itertools
 import random
 import sys
@@ -294,6 +295,63 @@ class TestVectorScan:
         assert not calls
 
 
+class TestTwoSquarePrefilter:
+    """`_two_square_possible` may reject a remainder only when it is not
+    B**2 + C**2, so skipping those A leaves the enumeration unchanged."""
+
+    SCALES = (10**5 + 3, 10**9 + 977, 10**12 + 977)
+
+    def test_sums_of_two_squares_pass(self):
+        assert solver._two_square_possible(0)
+        for b in range(300):
+            for c in range(b + 1):
+                assert solver._two_square_possible(b * b + c * c), (b, c)
+        rng = random.Random(2)
+        for _ in range(10_000):
+            b, c = rng.randrange(2**31), rng.randrange(2**31)
+            assert solver._two_square_possible(b * b + c * c), (b, c)
+
+    def test_rejections(self):
+        for b in range(300):
+            for c in range(b + 1):
+                s = b * b + c * c
+                if s % 3:
+                    assert not solver._two_square_possible(3 * s), (b, c)
+        for r in range(1, 20_000):
+            if (r >> ord2(r)) % 4 == 3:
+                assert not solver._two_square_possible(r), r
+                assert not solver._two_square_possible(r << 40), r
+
+    def test_enumeration_unchanged(self, monkeypatch):
+        prefilter = solver._two_square_possible
+        rejected = []
+
+        def counting(rem):
+            ok = prefilter(rem)
+            if not ok:
+                rejected.append(rem)
+            return ok
+
+        def first_solutions():
+            out = []
+            for quad in NINE_QUADRUPLES:
+                for m in self.SCALES:
+                    lm = quad.l * m
+                    ns = [three_square_below(lm, isqrt(lm) - 1000)]
+                    if is_three_square(lm - isqrt(lm) ** 2):
+                        ns.append(isqrt(lm))
+                    for n in ns:
+                        out.append(list(itertools.islice(
+                            solver._descent_solutions(m, n, quad), 300)))
+            return out
+
+        monkeypatch.setattr(solver, "_two_square_possible", counting)
+        filtered = first_solutions()
+        assert rejected
+        monkeypatch.setattr(solver, "_two_square_possible", lambda rem: True)
+        assert first_solutions() == filtered
+
+
 class TestAdmissibleN:
     def test_examples(self):
         assert admissible_n(3, (1, 1, 2, 2), "cubes") == [0, 1]
@@ -325,6 +383,24 @@ class TestAdmissibleN:
                 else:
                     expected = r % 5 in (0, 1, 4)
             assert (n in out) == expected, (m, key, ts, n)
+
+    def test_members_upto(self):
+        for ts in TargetSet:
+            for hi in itertools.chain(range(-2, 300), (10**9 + 7, 10**10)):
+                asc = list(ts.members_upto(hi))
+                if hi < 300:
+                    assert asc == [n for n in range(hi + 1) if ts.contains(n)]
+                else:
+                    # Consecutive members, ending at the last one <= hi.
+                    k = len(asc) - 1
+                    step = {TargetSet.SQUARES: lambda j: j * j,
+                            TargetSet.CUBES: lambda j: j ** 3,
+                            TargetSet.POW2: lambda j: 1 << j}[ts]
+                    assert asc[:3] + asc[-3:] == \
+                        [step(j) for j in (0, 1, 2, k - 2, k - 1, k)]
+                    assert asc[-1] <= hi < step(k + 1)
+                assert ts.values_upto(hi) == asc
+                assert list(ts.members_upto(hi, descending=True)) == asc[::-1]
 
 
 class TestCandidateSet:
@@ -496,6 +572,36 @@ class TestSolveRestricted:
         assert solve_linear_system(9, 2, (1, 1, 2, 4), natural=True) is None
         sol = solve_linear_system(9, 3, (1, 1, 2, 4), natural=True)
         assert sol is not None and sol.n == 3
+
+    # sha256 of repr(outcomes) for m = scale + i, i < 20, over the 27
+    # systems, computed while the descent still scanned every A.
+    PINNED_DIGESTS = {
+        10**5: "2921c961ca25796dd8962af278cc602c07e2eff4168405b0d1dfdccca783d308",
+        10**9: "22aff61acf02bf04a3aea05c9fc545e4afb74b2c3d0dc5e1985c7942c576325f",
+        10**12: "e371f341d67d4388a307cc0e3347c4a7849b7137939893ed57cad2b69a87ec75",
+    }
+
+    @staticmethod
+    def plain_outcome(m, quad, ts):
+        try:
+            return tuple(solve_restricted(m, quad, ts))
+        except NoSolutionError as exc:
+            return (str(exc), exc.tried)
+
+    def test_outcomes_pinned_at_scale(self):
+        # test_matches_reference_enumeration stops at m <= 40; this pins
+        # the solutions found at three larger scales.
+        outcomes = {
+            scale: [self.plain_outcome(scale + i, quad, ts) for i in range(20)
+                    for quad in NINE_QUADRUPLES for ts in TargetSet]
+            for scale in self.PINNED_DIGESTS
+        }
+        assert outcomes[10**5][0] == (120, -60, -216, 188, 4)
+        assert outcomes[10**9][270] == (10002, -9998, -20001, 19999, 0)
+        assert outcomes[10**12][-1] == (320997, -160032, -800519, 480125, 1)
+        for scale, digest in self.PINNED_DIGESTS.items():
+            got = hashlib.sha256(repr(outcomes[scale]).encode()).hexdigest()
+            assert got == digest, scale
 
     def test_range_contract(self):
         big = INT64_MAX + 1
