@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -251,32 +250,68 @@ def _job_key(job: VerificationJob) -> dict:
 
 def _save_checkpoint(path: str, job: VerificationJob,
                      done: dict[int, dict]) -> None:
-    payload = dict(_job_key(job))
-    payload["chunks"] = {str(i): done[i] for i in sorted(done)}
-    payload["sha256"] = _digest({k: v for k, v in payload.items()})
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Append one fsynced journal line per chunk in ``done``.
+
+    An empty file first gets the header (the job key); each record's
+    digest also covers the job key, so a foreign line fails its check.
+    """
+    key = _job_key(job)
+    lines = [{"chunk": i, "rec": rec,
+              "sha256": _digest({"job": key, "chunk": i, "rec": rec})}
+             for i, rec in done.items()]
+    with open(path, "ab") as fh:
+        if fh.tell() == 0:
+            lines.insert(0, {"job": key, "sha256": _digest(key)})
+        fh.write(b"".join(json.dumps(line, separators=(",", ":")).encode()
+                          + b"\n" for line in lines))
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _load_checkpoint(path: str, job: VerificationJob) -> dict[int, dict]:
-    if not os.path.exists(path):
+    """Finished chunks from the journal at ``path``; none if it is missing.
+
+    A torn last line is truncated away, so its chunk is redone; a complete
+    line that fails its parse or digest is an error.  An old single-JSON
+    checkpoint is rewritten once as a journal.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
         return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.pop("sha256", None) != _digest(data):
-        raise ValueError(f"checkpoint {path} failed its integrity check")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    corrupt = ValueError(f"checkpoint {path} failed its integrity check")
+    foreign = ValueError(f"checkpoint {path} does not match this job")
     key = _job_key(job)
-    if {k: data.get(k) for k in key} != key:
-        raise ValueError(f"checkpoint {path} does not match this job")
-    return {int(i): rec for i, rec in data["chunks"].items()}
+    try:
+        old = json.loads(blob)
+    except ValueError:
+        old = None
+    if isinstance(old, dict) and "chunks" in old:
+        if old.pop("sha256", None) != _digest(old):
+            raise corrupt
+        if {k: old.get(k) for k in key} != key:
+            raise foreign
+        done = {int(i): rec for i, rec in old["chunks"].items()}
+        tmp = path + ".migrate"
+        open(tmp, "wb").close()
+        _save_checkpoint(tmp, job, done)
+        os.replace(tmp, path)
+        return done
+    *lines, tail = blob.split(b"\n")
+    try:
+        header, *recs = [json.loads(line) for line in lines]
+        ok = header["sha256"] == _digest(header["job"]) and all(
+            r["sha256"] == _digest({"job": header["job"], "chunk": r["chunk"],
+                                    "rec": r["rec"]}) for r in recs)
+    except (ValueError, KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise corrupt
+    if header["job"] != key:
+        raise foreign
+    if tail:
+        os.truncate(path, len(blob) - len(tail))
+    return {r["chunk"]: r["rec"] for r in recs}
 
 
 def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
@@ -308,7 +343,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         nonlocal completed
         done[i] = rec
         if job.checkpoint:
-            _save_checkpoint(job.checkpoint, job, done)
+            _save_checkpoint(job.checkpoint, job, {i: rec})
         completed += 1
         if _stop_after_chunks is not None and completed >= _stop_after_chunks:
             raise _SimulatedInterrupt(f"stopped after {completed} chunks")

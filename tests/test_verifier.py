@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 
 import mpmath
 import pytest
@@ -274,9 +276,9 @@ class TestCheckpointing:
         job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=cp)
         with pytest.raises(_SimulatedInterrupt):
             verify_theorem(job, workers=1, _stop_after_chunks=3)
-        assert os.path.exists(cp)
-        data = json.loads(open(cp).read())
-        assert len(data["chunks"]) == 3
+        header, *recs = _journal(cp)
+        assert set(json.loads(header)) == {"job", "sha256"}
+        assert sorted(json.loads(line)["chunk"] for line in recs) == [0, 1, 2]
         resumed = verify_theorem(job, workers=1)
         fresh = verify_theorem(VerificationJob("1.1", 0, 120, chunk=16),
                                workers=1)
@@ -306,21 +308,24 @@ class TestCheckpointing:
         job = VerificationJob("1.1", 0, 60, chunk=16, checkpoint=str(cp))
         with pytest.raises(_SimulatedInterrupt):
             verify_theorem(job, workers=1, _stop_after_chunks=1)
-        data = json.loads(cp.read_text())
-        data["chunks"]["0"]["verified"] += 1
-        cp.write_text(json.dumps(data))
+        header, line = _journal(cp)
+        data = json.loads(line)
+        data["rec"]["verified"] += 1
+        cp.write_text(header + "\n" + json.dumps(data) + "\n")
         with pytest.raises(ValueError, match="integrity"):
             verify_theorem(job, workers=1)
 
     def test_checkpoint_with_prefix_field_resumes(self, tmp_path):
-        # Earlier releases also wrote a "prefix" field (the number of
-        # leading finished chunks), covered by the digest.
+        # Earlier releases wrote one JSON object (the job key, "chunks" and
+        # a "prefix" field, the number of leading finished chunks) covered
+        # by one digest.  It still loads and is rewritten as a journal.
         cp = tmp_path / "ckpt.json"
         job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
         with pytest.raises(_SimulatedInterrupt):
             verify_theorem(job, workers=1, _stop_after_chunks=3)
-        data = json.loads(cp.read_text())
-        del data["sha256"]
+        data = dict(verifier._job_key(job))
+        data["chunks"] = {str(line["chunk"]): line["rec"]
+                          for line in map(json.loads, _journal(cp)[1:])}
         data["prefix"] = 3
         blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
         data["sha256"] = hashlib.sha256(blob.encode()).hexdigest()
@@ -329,7 +334,28 @@ class TestCheckpointing:
         fresh = verify_theorem(VerificationJob("1.1", 0, 120, chunk=16),
                                workers=1)
         assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
-        assert "prefix" not in json.loads(cp.read_text())
+        header, *recs = _journal(cp)
+        assert set(json.loads(header)) == {"job", "sha256"}
+        assert sorted(json.loads(line)["chunk"] for line in recs) == list(
+            range(8))
+        assert not any("prefix" in line for line in [header, *recs])
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
+    def test_old_single_json_checkpoint_is_checked(self, tmp_path):
+        cp = tmp_path / "ckpt.json"
+        job = VerificationJob("1.1", 0, 60, chunk=16, checkpoint=str(cp))
+        data = dict(verifier._job_key(job))
+        data["chunks"] = {"0": verifier._run_chunk("1.1", 0, 16, None)}
+        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        data["sha256"] = hashlib.sha256(blob.encode()).hexdigest()
+        other = VerificationJob("1.1", 0, 80, chunk=16, checkpoint=str(cp))
+        cp.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="does not match"):
+            verify_theorem(other, workers=1)
+        data["chunks"]["0"]["verified"] += 1
+        cp.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="integrity"):
+            verify_theorem(job, workers=1)
 
     @pytest.mark.parametrize("content", ["[]", '"x"', "3"])
     def test_non_object_checkpoint_rejected(self, tmp_path, content):
@@ -347,6 +373,112 @@ class TestCheckpointing:
         other = VerificationJob("1.1", 0, 80, chunk=16, checkpoint=cp)
         with pytest.raises(ValueError, match="does not match"):
             verify_theorem(other, workers=1)
+
+    def test_torn_last_line_is_redone(self, tmp_path):
+        # 3 finished chunks, then a crash halfway through the 4th record
+        cp = tmp_path / "ckpt.json"
+        job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
+        with pytest.raises(_SimulatedInterrupt):
+            verify_theorem(job, workers=1, _stop_after_chunks=4)
+        *lines, last = _journal(cp)
+        cp.write_text("".join(line + "\n" for line in lines)
+                      + last[: len(last) // 2])
+        assert len(verifier._load_checkpoint(str(cp), job)) == 3
+        resumed = verify_theorem(job, workers=1)
+        fresh = verify_theorem(VerificationJob("1.1", 0, 120, chunk=16),
+                               workers=1)
+        assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
+        assert len(_journal(cp)) == 1 + 8
+        assert sorted(verifier._load_checkpoint(str(cp), job)) == list(range(8))
+
+    @pytest.mark.parametrize("where", [0, 2, 3], ids=["header", "middle",
+                                                      "last"])
+    @pytest.mark.parametrize("damage", [
+        lambda line: line[:-3] + ("1" if line[-3] == "0" else "0") + '"}',
+        lambda line: line[: len(line) // 2],
+        lambda line: "",
+    ], ids=["digest", "truncated", "blank"])
+    def test_corrupt_complete_line_rejected(self, tmp_path, where, damage):
+        cp = tmp_path / "ckpt.json"
+        job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
+        with pytest.raises(_SimulatedInterrupt):
+            verify_theorem(job, workers=1, _stop_after_chunks=3)
+        lines = _journal(cp)
+        lines[where] = damage(lines[where])
+        cp.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match="integrity"):
+            verify_theorem(job, workers=1)
+
+    def test_record_spliced_from_another_job_rejected(self, tmp_path):
+        cp = tmp_path / "ckpt.json"
+        job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
+        with pytest.raises(_SimulatedInterrupt):
+            verify_theorem(job, workers=1, _stop_after_chunks=3)
+        # chunk 3 covers m in [48, 64) in both jobs, so only the job key
+        # in its digest tells the spliced record apart
+        donor = tmp_path / "donor.json"
+        verify_theorem(VerificationJob("1.1", 0, 80, chunk=16,
+                                       checkpoint=str(donor)), workers=1)
+        spliced = [line for line in _journal(donor)[1:]
+                   if json.loads(line)["chunk"] == 3]
+        with open(cp, "a") as fh:
+            fh.write(spliced[0] + "\n")
+        with pytest.raises(ValueError, match="integrity"):
+            verify_theorem(job, workers=1)
+
+    def test_each_save_appends_one_line(self, tmp_path, monkeypatch):
+        cp = tmp_path / "ckpt.json"
+        job = VerificationJob("1.3", 0, 160, chunk=16, checkpoint=str(cp))
+        save = verifier._save_checkpoint
+        growth = []
+
+        def checked_save(path, job, done):
+            before = cp.read_bytes() if cp.exists() else b""
+            save(path, job, done)
+            after = cp.read_bytes()
+            assert after.startswith(before)
+            growth.append(after[len(before):].count(b"\n"))
+            assert len(_journal(cp)) == len(growth) + 1
+
+        monkeypatch.setattr(verifier, "_save_checkpoint", checked_save)
+        verify_theorem(job, workers=1)
+        assert growth == [2] + [1] * 9
+
+    def test_resume_after_sigkill(self, tmp_path):
+        # A real crash: the CLI process is killed (no cleanup runs) once
+        # its journal holds 3 records, then the run is resumed.
+        cp = tmp_path / "ckpt.json"
+        src = os.path.dirname(os.path.dirname(foursq.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "foursq.cli", "verify", "--theorem", "1.3",
+             "--lo", "0", "--hi", "3000", "--chunk", "16", "--workers", "1",
+             "--checkpoint", str(cp)],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not (cp.exists() and cp.read_bytes().count(b"\n") >= 4):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        assert len(cp.read_bytes().splitlines()) < 1 + 188
+        job = VerificationJob("1.3", 0, 3000, chunk=16, checkpoint=str(cp))
+        resumed = verify_theorem(job, workers=1)
+        fresh = verify_theorem(VerificationJob("1.3", 0, 3000, chunk=16),
+                               workers=1)
+        assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
+        assert len(_journal(cp)) == 1 + 188
+
+
+def _journal(path) -> list[str]:
+    """The lines of a checkpoint journal, which must all be complete."""
+    with open(path) as fh:
+        text = fh.read()
+    assert text.endswith("\n")
+    return text.splitlines()
 
 
 def test_theorem_id_inventory():
