@@ -59,16 +59,13 @@ def is_three_square(n: int) -> bool:
     return n % 8 != 7
 
 
-def three_square_reps(n: int) -> list[tuple[int, int, int]]:
-    """All canonical triples A >= B >= C >= 0 with A²+B²+C² = n.
+def _three_square_walk(n: int, top: int) -> list[tuple[int, int, int]]:
+    """Canonical triples A >= B >= C >= 0 with A²+B²+C² = n and A <= top.
 
-    Lexicographically decreasing order of (A, B, C); empty iff
-    is_three_square(n) is false.
+    Lexicographically decreasing order of (A, B, C).
     """
-    if n < 0:
-        return []
     out = []
-    a = isqrt(n)
+    a = min(top, isqrt(n))
     while a >= 0 and 3 * a * a >= n:
         rem = n - a * a
         b = min(a, isqrt(rem))
@@ -82,6 +79,15 @@ def three_square_reps(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def three_square_reps(n: int) -> list[tuple[int, int, int]]:
+    """All canonical triples A >= B >= C >= 0 with A²+B²+C² = n.
+
+    Lexicographically decreasing order of (A, B, C); empty iff
+    is_three_square(n) is false.
+    """
+    return [] if n < 0 else _three_square_walk(n, n)
+
+
 def four_square_reps(m: int) -> list[tuple[int, int, int, int]]:
     """All canonical quadruples x >= y >= z >= t >= 0 with x²+y²+z²+t² = m.
 
@@ -92,17 +98,6 @@ def four_square_reps(m: int) -> list[tuple[int, int, int, int]]:
     out = []
     x = isqrt(m)
     while x >= 0 and 4 * x * x >= m:
-        rem_x = m - x * x
-        y = min(x, isqrt(rem_x))
-        while y >= 0 and 3 * y * y >= rem_x:
-            rem_y = rem_x - y * y
-            z = min(y, isqrt(rem_y))
-            while z >= 0 and 2 * z * z >= rem_y:
-                t2 = rem_y - z * z
-                t = isqrt(t2)
-                if t * t == t2 and t <= z:
-                    out.append((x, y, z, t))
-                z -= 1
-            y -= 1
+        out.extend((x, *r) for r in _three_square_walk(m - x * x, x))
         x -= 1
     return out

@@ -8,7 +8,7 @@ wrapping around.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -52,17 +52,21 @@ def _checked(op: str, a1: int, a2: int, a3: int, a4: int) -> Quaternion:
     return Quaternion(a1, a2, a3, a4)
 
 
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product p*q (non-commutative)."""
+def _hamilton(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int, int]:
+    """The four components of the Hamilton product p*q, unchecked."""
     p1, p2, p3, p4 = p
     q1, q2, q3, q4 = q
-    return _checked(
-        "mul",
+    return (
         p1 * q1 - p2 * q2 - p3 * q3 - p4 * q4,
         p1 * q2 + p2 * q1 + p3 * q4 - p4 * q3,
         p1 * q3 - p2 * q4 + p3 * q1 + p4 * q2,
         p1 * q4 + p2 * q3 - p3 * q2 + p4 * q1,
     )
+
+
+def mul(p: Quaternion, q: Quaternion) -> Quaternion:
+    """Hamilton product p*q (non-commutative)."""
+    return _checked("mul", *_hamilton(p, q))
 
 
 def conj(q: Quaternion) -> Quaternion:
@@ -92,12 +96,7 @@ def try_div_right_exact(p: Quaternion, q: Quaternion) -> Optional[Quaternion]:
     n = norm(q)
     if n == 0:
         raise ValueError("try_div_right_exact: division by zero quaternion")
-    p1, p2, p3, p4 = p
-    q1, q2, q3, q4 = q.a1, -q.a2, -q.a3, -q.a4
-    r1 = p1 * q1 - p2 * q2 - p3 * q3 - p4 * q4
-    r2 = p1 * q2 + p2 * q1 + p3 * q4 - p4 * q3
-    r3 = p1 * q3 - p2 * q4 + p3 * q1 + p4 * q2
-    r4 = p1 * q4 + p2 * q3 - p3 * q2 + p4 * q1
+    r1, r2, r3, r4 = _hamilton(p, (q.a1, -q.a2, -q.a3, -q.a4))
     if r1 % n or r2 % n or r3 % n or r4 % n:
         return None
     return _checked("try_div_right_exact", r1 // n, r2 // n, r3 // n, r4 // n)
@@ -118,17 +117,7 @@ def sandwich(u: Quaternion, g: Quaternion, v: Quaternion) -> Optional[Quaternion
             f"sandwich: conjugator norms differ ({nu} != {norm(v)})"
         )
     # conj(u)*g, then *v, in exact arithmetic; only the result is range-checked
-    u1, u2, u3, u4 = u.a1, -u.a2, -u.a3, -u.a4
-    g1, g2, g3, g4 = g
-    m1 = u1 * g1 - u2 * g2 - u3 * g3 - u4 * g4
-    m2 = u1 * g2 + u2 * g1 + u3 * g4 - u4 * g3
-    m3 = u1 * g3 - u2 * g4 + u3 * g1 + u4 * g2
-    m4 = u1 * g4 + u2 * g3 - u3 * g2 + u4 * g1
-    v1, v2, v3, v4 = v
-    w1 = m1 * v1 - m2 * v2 - m3 * v3 - m4 * v4
-    w2 = m1 * v2 + m2 * v1 + m3 * v4 - m4 * v3
-    w3 = m1 * v3 - m2 * v4 + m3 * v1 + m4 * v2
-    w4 = m1 * v4 + m2 * v3 - m3 * v2 + m4 * v1
+    w1, w2, w3, w4 = _hamilton(_hamilton((u.a1, -u.a2, -u.a3, -u.a4), g), v)
     if w1 % nu or w2 % nu or w3 % nu or w4 % nu:
         return None
     return _checked("sandwich", w1 // nu, w2 // nu, w3 // nu, w4 // nu)

@@ -121,10 +121,6 @@ class TargetSet(Enum):
             ks, member = range(hi.bit_length()), lambda k: 1 << k
         return map(member, ks[::-1] if descending else ks)
 
-    def values_upto(self, hi: int) -> list[int]:
-        """All members of the set that are <= hi, ascending."""
-        return list(self.members_upto(hi))
-
 
 # The nine supported coefficient quadruples, in the order the solvability
 # results list them.
@@ -151,22 +147,9 @@ _MOD5_QUADS = frozenset(
     [(1, 1, 2, 4), (1, 3, 3, 0), (1, 2, 4, 0), (1, 1, 2, 5)]
 )
 
-_COMPANIONS = {
-    (1, 1, 2, 4): SystemQuadruple(2, 3, 3, 0),
-    (1, 1, 2, 2): SystemQuadruple(1, 3, 0, 0),
-    (1, 2, 2, 2): SystemQuadruple(2, 3, 0, 0),
-    (2, 2, 3, 0): SystemQuadruple(1, 4, 0, 0),
-    (2, 3, 4, 0): SystemQuadruple(2, 5, 0, 0),
-    (1, 3, 3, 0): SystemQuadruple(1, 1, 1, -4),
-    (1, 2, 4, 0): SystemQuadruple(2, 2, 2, -3),
-    (1, 1, 2, 5): SystemQuadruple(3, 3, 3, -2),
-    (1, 2, 3, 5): SystemQuadruple(1, 1, 1, 6),
-}
-
-
 def _as_quad(quad: Sequence[int]) -> SystemQuadruple:
     q = SystemQuadruple(*quad)
-    if q not in _SUPPORTED and q not in _COMPANIONS.values():
+    if q not in _SUPPORTED and all(q != r.source for r in builtin_rules()):
         raise UnsupportedQuadrupleError(
             f"coefficient quadruple {tuple(q)} is not supported"
         )
@@ -186,7 +169,7 @@ def _require_primary(quad: Sequence[int]) -> SystemQuadruple:
 def companion_source(quad: Sequence[int]) -> SystemQuadruple:
     """The source quadruple whose solutions transform into this one's."""
     q = _require_primary(quad)
-    return _COMPANIONS[tuple(q)]
+    return next(r.source for r in builtin_rules() if r.target == q)
 
 
 # --------------------------------------------------------------------------
@@ -437,26 +420,6 @@ def _normalize_to(raw: tuple[int, int, int, int], coeffs: Quaternion,
 # Direct descent
 # --------------------------------------------------------------------------
 
-def _bitmask_of_squares(mod: int) -> int:
-    mask = 0
-    for i in range(mod):
-        mask |= 1 << (i * i % mod)
-    return mask
-
-
-_SQ64 = _bitmask_of_squares(64)
-_SQ63 = _bitmask_of_squares(63)
-_SQ65 = _bitmask_of_squares(65)
-
-
-def _maybe_square(v: int) -> bool:
-    return bool(
-        (_SQ64 >> (v & 63)) & 1
-        and (_SQ63 >> (v % 63)) & 1
-        and (_SQ65 >> (v % 65)) & 1
-    )
-
-
 # The primes p = 3 (mod 4) below 50.  On 1.1 near 1e12 the odd-part test
 # alone skips 48% of the A that reach a B-scan, adding these primes 71%,
 # and every such prime up to 107 or 199 only 74% or 75%: each added prime
@@ -505,12 +468,11 @@ def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
         B = bhi - ((bhi - br) % l)
         while B >= blo:
             c2 = rem - B * B
-            if _maybe_square(c2):
-                C = isqrt(c2)
-                if C * C == c2:
-                    mk = mask_get(base + br * l + C % l)
-                    if mk:
-                        hits.append((B, C, mk))
+            C = isqrt(c2)
+            if C * C == c2:
+                mk = mask_get(base + br * l + C % l)
+                if mk:
+                    hits.append((B, C, mk))
             B -= l
     return hits
 
@@ -674,7 +636,7 @@ def admissible_n(m: int, quad: Sequence[int],
 
 
 def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
-    """Indices whose set member leaves a three-square remainder under M.
+    """Indices k of the members v with v*v <= M and M - v*v three-square.
 
     cubes: n with n**6 <= M and M - n**6 a sum of three squares;
     squares: n with n**4 <= M and M - n**4 a sum of three squares;
@@ -684,17 +646,8 @@ def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
     if M < 0:
         return []
     _check_m(M, "M")
-    if ts is TargetSet.CUBES:
-        return [n for n in range(iroot(M, 6) + 1) if is_three_square(M - n ** 6)]
-    if ts is TargetSet.SQUARES:
-        return [n for n in range(iroot(M, 4) + 1) if is_three_square(M - n ** 4)]
-    out = []
-    k = 0
-    while 4 ** k <= M:
-        if is_three_square(M - 4 ** k):
-            out.append(k)
-        k += 1
-    return out
+    return [k for k, v in enumerate(ts.members_upto(isqrt(M)))
+            if is_three_square(M - v * v)]
 
 
 # --------------------------------------------------------------------------

@@ -248,6 +248,10 @@ def _job_key(job: VerificationJob) -> dict:
             "chunk": job.chunk, "quads": quads}
 
 
+def _line(obj: dict) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+
+
 def _save_checkpoint(path: str, job: VerificationJob,
                      done: dict[int, dict]) -> None:
     """Append one fsynced journal line per chunk in ``done``.
@@ -262,8 +266,7 @@ def _save_checkpoint(path: str, job: VerificationJob,
     with open(path, "ab") as fh:
         if fh.tell() == 0:
             lines.insert(0, {"job": key, "sha256": _digest(key)})
-        fh.write(b"".join(json.dumps(line, separators=(",", ":")).encode()
-                          + b"\n" for line in lines))
+        fh.write(b"".join(map(_line, lines)))
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -271,9 +274,9 @@ def _save_checkpoint(path: str, job: VerificationJob,
 def _load_checkpoint(path: str, job: VerificationJob) -> dict[int, dict]:
     """Finished chunks from the journal at ``path``; none if it is missing.
 
-    A torn last line is truncated away, so its chunk is redone; a complete
-    line that fails its parse or digest is an error.  An old single-JSON
-    checkpoint is rewritten once as a journal.
+    A torn last line is truncated away, so its chunk (or this job's header)
+    is redone; a complete line that fails its parse or digest is an error.
+    An old single-JSON checkpoint is rewritten once as a journal.
     """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return {}
@@ -282,6 +285,9 @@ def _load_checkpoint(path: str, job: VerificationJob) -> dict[int, dict]:
     corrupt = ValueError(f"checkpoint {path} failed its integrity check")
     foreign = ValueError(f"checkpoint {path} does not match this job")
     key = _job_key(job)
+    if _line({"job": key, "sha256": _digest(key)}).startswith(blob):
+        os.truncate(path, 0)  # a first save cut inside this job's header
+        return {}
     try:
         old = json.loads(blob)
     except ValueError:

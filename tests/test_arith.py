@@ -103,6 +103,13 @@ class TestThreeSquareReps:
         for n in range(2001):
             assert bool(three_square_reps(n)) == is_three_square(n), n
 
+    def test_agrees_with_exhaustive_search(self):
+        for n in range(500):
+            expected = [(a, b, c) for a in range(iroot(n, 2) + 1)
+                        for b in range(a + 1)
+                        for c in range(b + 1) if a * a + b * b + c * c == n]
+            assert three_square_reps(n) == sorted(expected, reverse=True), n
+
     @given(st.integers(min_value=0, max_value=50000))
     def test_canonical_and_ordered(self, n):
         reps = three_square_reps(n)

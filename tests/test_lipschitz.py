@@ -142,6 +142,16 @@ class TestSandwich:
         with pytest.raises(ValueError):
             sandwich(Q(0, 0, 0, 0), ONE, Q(0, 0, 0, 0))
 
+    @pytest.mark.parametrize("g", [Q(INT64_MAX, 0, 0, 0),
+                                   Q(INT64_MAX, INT64_MAX, INT64_MAX, 0)],
+                             ids=["3M-before-division", "conj-u-g-overflows"])
+    def test_only_result_is_range_checked(self, g):
+        # conj(u)*g*v reaches 3*INT64_MAX before the division by norm(u),
+        # and for the second g conj(u)*g alone leaves int64; u commutes
+        # with both, so the result is g itself.
+        u = Q(1, 1, 1, 0)
+        assert sandwich(u, g, u) == g
+
     def test_norm_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sandwich(Q(1, 1, 1, 0), ONE, Q(1, 2, 0, 0))

@@ -371,7 +371,7 @@ class TestAdmissibleN:
         out = admissible_n(m, quad, ts)
         assert out == sorted(set(out))
         key = tuple(q)
-        for n in ts.values_upto(isqrt(lm)):
+        for n in ts.members_upto(isqrt(lm)):
             r = lm - n * n
             expected = is_three_square(r)
             if expected:
@@ -399,7 +399,6 @@ class TestAdmissibleN:
                     assert asc[:3] + asc[-3:] == \
                         [step(j) for j in (0, 1, 2, k - 2, k - 1, k)]
                     assert asc[-1] <= hi < step(k + 1)
-                assert ts.values_upto(hi) == asc
                 assert list(ts.members_upto(hi, descending=True)) == asc[::-1]
 
 
@@ -420,6 +419,32 @@ class TestCandidateSet:
             assert candidate_set(M, "pow2") == [
                 k for k in range(M.bit_length() + 1) if 4**k <= M
                 and is_three_square(M - 4**k)]
+
+    def test_definitions_at_root_boundaries(self):
+        # M at k**6, k**4 and 4**k and one either side, up to INT64_MAX:
+        # the walk over members up to isqrt(M) must stop exactly at the
+        # last index whose power fits under M.
+        powers = {"cubes": lambda k: k ** 6, "squares": lambda k: k ** 4,
+                  "pow2": lambda k: 4 ** k}
+        for kind, power in powers.items():
+            top = 1
+            while power(top + 1) - 1 <= INT64_MAX:
+                top += 1
+            # every small k, a geometric sample, and the last few below 2**63
+            ks = set(range(1, 16)) | {top - 2, top - 1, top}
+            ks |= {round(top ** (i / 16)) for i in range(17)}
+            Ms = {1 << 62, INT64_MAX}
+            for k in ks:
+                Ms.update(M for M in (power(k) - 1, power(k), power(k) + 1)
+                          if M <= INT64_MAX)
+            for M in sorted(Ms):
+                expected = []
+                j = 0
+                while power(j) <= M:
+                    if is_three_square(M - power(j)):
+                        expected.append(j)
+                    j += 1
+                assert candidate_set(M, kind) == expected, (kind, M)
 
     def test_cube_candidate_congruence_claims(self):
         # Guaranteed members of C_m, split by the residue of m.

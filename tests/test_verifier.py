@@ -391,6 +391,36 @@ class TestCheckpointing:
         assert len(_journal(cp)) == 1 + 8
         assert sorted(verifier._load_checkpoint(str(cp), job)) == list(range(8))
 
+    @pytest.mark.parametrize("cut", ["first-byte", "middle", "before-newline"])
+    def test_torn_header_starts_fresh(self, tmp_path, cut):
+        # the first save (header plus the first record) cut inside the header
+        cp = tmp_path / "ckpt.json"
+        job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
+        with pytest.raises(_SimulatedInterrupt):
+            verify_theorem(job, workers=1, _stop_after_chunks=1)
+        header = _journal(cp)[0]
+        keep = {"first-byte": 1, "middle": len(header) // 2,
+                "before-newline": len(header)}[cut]
+        cp.write_text(header[:keep])
+        resumed = verify_theorem(job, workers=1)
+        fresh = verify_theorem(VerificationJob("1.1", 0, 120, chunk=16),
+                               workers=1)
+        assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
+        assert _journal(cp)[0] == header and len(_journal(cp)) == 1 + 8
+
+    @pytest.mark.parametrize("text", [
+        '{"job":{"theorem":"1.2","lo":0,"hi":120,"chunk":16,"quads":null}',
+        '{"job"x',
+        "not a journal",
+    ], ids=["other-job", "garbled", "text"])
+    def test_torn_foreign_header_is_kept(self, tmp_path, text):
+        cp = tmp_path / "ckpt.json"
+        cp.write_text(text)
+        job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
+        with pytest.raises(ValueError, match="integrity"):
+            verify_theorem(job, workers=1)
+        assert cp.read_text() == text
+
     @pytest.mark.parametrize("where", [0, 2, 3], ids=["header", "middle",
                                                       "last"])
     @pytest.mark.parametrize("damage", [
