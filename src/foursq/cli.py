@@ -20,7 +20,6 @@ from .solver import (
     RestrictedSolution,
     SystemQuadruple,
     TargetSet,
-    UnsupportedQuadrupleError,
     brute_force_oracle,
     candidate_set,
     check_solution,
@@ -38,14 +37,11 @@ from .verifier import (
 
 def _quad_arg(text: str) -> tuple[int, int, int, int]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
+        a, b, c, d = (int(p) for p in text.split(","))
+    except ValueError:  # a part is not an integer, or there are not four
         raise argparse.ArgumentTypeError(
             f"expected four comma-separated integers, got {text!r}")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected four comma-separated integers, got {text!r}")
-    return parts
+    return a, b, c, d
 
 
 def _nonneg(text: str) -> int:
@@ -63,13 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "of two.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --m, --quad and --set of the commands that take one restricted system
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--m", type=_nonneg, required=True)
+    system.add_argument("--quad", type=_quad_arg, required=True,
+                        metavar="a,b,c,d")
+    system.add_argument("--set", dest="target_set", required=True,
+                        choices=[t.value for t in TargetSet])
 
-    p = sub.add_parser("solve", help="solve one restricted system")
-    p.add_argument("--m", type=_nonneg, required=True)
-    p.add_argument("--quad", type=_quad_arg, required=True,
-                   metavar="a,b,c,d")
-    p.add_argument("--set", dest="target_set", required=True,
-                   choices=[t.value for t in TargetSet])
+    p = sub.add_parser("solve", parents=[system],
+                       help="solve one restricted system")
     p.add_argument("--natural", action="store_true",
                    help="require all coordinates nonnegative")
     p.add_argument("--n", type=_nonneg, default=None,
@@ -96,19 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=[t.value for t in TargetSet])
 
-    p = sub.add_parser("oracle", help="brute-force cross-check of the solver")
-    p.add_argument("--m", type=_nonneg, required=True)
-    p.add_argument("--quad", type=_quad_arg, required=True,
-                   metavar="a,b,c,d")
-    p.add_argument("--set", dest="target_set", required=True,
-                   choices=[t.value for t in TargetSet])
+    sub.add_parser("oracle", parents=[system],
+                   help="brute-force cross-check of the solver")
 
-    p = sub.add_parser("check", help="validate a proposed solution")
-    p.add_argument("--m", type=_nonneg, required=True)
-    p.add_argument("--quad", type=_quad_arg, required=True,
-                   metavar="a,b,c,d")
-    p.add_argument("--set", dest="target_set", required=True,
-                   choices=[t.value for t in TargetSet])
+    p = sub.add_parser("check", parents=[system],
+                       help="validate a proposed solution")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
@@ -122,18 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solution_payload(m: int, quad: Sequence[int], target_set: str,
-                      sol: RestrictedSolution) -> dict:
-    return {"m": m, "quad": list(quad), "set": target_set,
-            "x": sol.x, "y": sol.y, "z": sol.z, "t": sol.t, "n": sol.n}
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     sol = solve_restricted(args.m, args.quad, args.target_set,
                            natural=args.natural, n=args.n)
     if args.format == "json":
-        print(json.dumps(_solution_payload(args.m, args.quad,
-                                           args.target_set, sol)))
+        print(json.dumps({"m": args.m, "quad": list(args.quad),
+                          "set": args.target_set, "x": sol.x, "y": sol.y,
+                          "z": sol.z, "t": sol.t, "n": sol.n}))
     else:
         print(f"x={sol.x} y={sol.y} z={sol.z} t={sol.t} n={sol.n}")
     return 0
@@ -257,10 +243,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
-    except (UnsupportedQuadrupleError, ResourceLimitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

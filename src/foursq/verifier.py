@@ -192,13 +192,7 @@ def _run_chunk(theorem: str, start: int, end: int,
         codes.append(code)
         if len(failures) < _FAILURE_CAP:
             failures.extend(fails[: _FAILURE_CAP - len(failures)])
-    return {
-        "verified": codes.count("V"),
-        "reduced": codes.count("R"),
-        "failed": codes.count("F"),
-        "codes": "".join(codes),
-        "failures": failures,
-    }
+    return {"codes": "".join(codes), "failures": failures}
 
 
 @dataclass(frozen=True)
@@ -276,33 +270,15 @@ def _load_checkpoint(path: str, job: VerificationJob) -> dict[int, dict]:
 
     A torn last line is truncated away, so its chunk (or this job's header)
     is redone; a complete line that fails its parse or digest is an error.
-    An old single-JSON checkpoint is rewritten once as a journal.
     """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    if not os.path.exists(path):
         return {}
     with open(path, "rb") as fh:
         blob = fh.read()
-    corrupt = ValueError(f"checkpoint {path} failed its integrity check")
-    foreign = ValueError(f"checkpoint {path} does not match this job")
     key = _job_key(job)
     if _line({"job": key, "sha256": _digest(key)}).startswith(blob):
-        os.truncate(path, 0)  # a first save cut inside this job's header
+        os.truncate(path, 0)  # empty, or a first save cut inside the header
         return {}
-    try:
-        old = json.loads(blob)
-    except ValueError:
-        old = None
-    if isinstance(old, dict) and "chunks" in old:
-        if old.pop("sha256", None) != _digest(old):
-            raise corrupt
-        if {k: old.get(k) for k in key} != key:
-            raise foreign
-        done = {int(i): rec for i, rec in old["chunks"].items()}
-        tmp = path + ".migrate"
-        open(tmp, "wb").close()
-        _save_checkpoint(tmp, job, done)
-        os.replace(tmp, path)
-        return done
     *lines, tail = blob.split(b"\n")
     try:
         header, *recs = [json.loads(line) for line in lines]
@@ -312,9 +288,9 @@ def _load_checkpoint(path: str, job: VerificationJob) -> dict[int, dict]:
     except (ValueError, KeyError, TypeError):
         ok = False
     if not ok:
-        raise corrupt
+        raise ValueError(f"checkpoint {path} failed its integrity check")
     if header["job"] != key:
-        raise foreign
+        raise ValueError(f"checkpoint {path} does not match this job")
     if tail:
         os.truncate(path, len(blob) - len(tail))
     return {r["chunk"]: r["rec"] for r in recs}
@@ -371,30 +347,25 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
 
-    verified = reduced = failed = 0
+    parts: list[str] = []
     failures: list[dict] = []
-    codes: list[str] = []
     for i in range(nchunks):
-        rec = done[i]
-        verified += rec["verified"]
-        reduced += rec["reduced"]
-        failed += rec["failed"]
-        if len(failures) < _FAILURE_CAP:
-            failures.extend(rec["failures"][: _FAILURE_CAP - len(failures)])
-        codes.append(rec["codes"])
+        parts.append(done[i]["codes"])
+        failures.extend(done[i]["failures"][: _FAILURE_CAP - len(failures)])
+    codes = "".join(parts)
     wall = max(time.monotonic() - t0, 1e-9)
     report = {
         "theorem": job.theorem,
         "range": [job.lo, job.hi],
-        "verified": verified,
-        "reduced": reduced,
-        "failed": failed,
+        "verified": codes.count("V"),
+        "reduced": codes.count("R"),
+        "failed": codes.count("F"),
         "failures": failures,
         "wall_ms": round(wall * 1000.0, 3),
         "per_sec": round((job.hi - job.lo) / wall, 3),
     }
     if include_codes:
-        report["codes"] = "".join(codes)
+        report["codes"] = codes
     return report
 
 

@@ -72,10 +72,16 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
-    def test_malformed_quad_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("quad", ["1,1,2", "1,x,2,2"])
+    @pytest.mark.parametrize("command", ["solve", "oracle", "check"])
+    def test_malformed_quad_is_usage_error(self, capsys, command, quad):
+        coords = ["--x", "1", "--y", "1", "--z", "1", "--t", "1"]
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--m", "5", "--quad", "1,1,2", "--set", "squares"])
+            main([command, "--m", "5", "--quad", quad, "--set", "squares",
+                  *(coords if command == "check" else [])])
         assert exc.value.code == 2
+        assert "expected four comma-separated integers" in (
+            capsys.readouterr().err)
 
 
 class TestVerify:
@@ -118,6 +124,13 @@ class TestVerify:
         strip = lambda rep: {k: v for k, v in json.loads(rep).items()
                              if k not in ("wall_ms", "per_sec")}
         assert strip(out) == strip(out2)
+
+    def test_unreadable_checkpoint_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--theorem", "1.3",
+                             "--lo", "0", "--hi", "80", "--checkpoint",
+                             str(tmp_path))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 class TestEnumeration:

@@ -310,52 +310,37 @@ class TestCheckpointing:
             verify_theorem(job, workers=1, _stop_after_chunks=1)
         header, line = _journal(cp)
         data = json.loads(line)
-        data["rec"]["verified"] += 1
+        codes = data["rec"]["codes"]
+        data["rec"]["codes"] = ("R" if codes[0] == "V" else "V") + codes[1:]
         cp.write_text(header + "\n" + json.dumps(data) + "\n")
         with pytest.raises(ValueError, match="integrity"):
             verify_theorem(job, workers=1)
 
-    def test_checkpoint_with_prefix_field_resumes(self, tmp_path):
-        # Earlier releases wrote one JSON object (the job key, "chunks" and
-        # a "prefix" field, the number of leading finished chunks) covered
-        # by one digest.  It still loads and is rewritten as a journal.
+    def test_journal_with_count_fields_resumes(self, tmp_path):
+        # Journals written before records dropped their verified, reduced
+        # and failed counts still resume: the counts are covered by the
+        # digests and then ignored in favour of the codes.
         cp = tmp_path / "ckpt.json"
         job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
         with pytest.raises(_SimulatedInterrupt):
             verify_theorem(job, workers=1, _stop_after_chunks=3)
-        data = dict(verifier._job_key(job))
-        data["chunks"] = {str(line["chunk"]): line["rec"]
-                          for line in map(json.loads, _journal(cp)[1:])}
-        data["prefix"] = 3
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        data["sha256"] = hashlib.sha256(blob.encode()).hexdigest()
-        cp.write_text(json.dumps(data))
+        header, *recs = _journal(cp)
+        key = verifier._job_key(job)
+        lines = [header]
+        for line in map(json.loads, recs):
+            rec = line["rec"]
+            rec.update(verified=rec["codes"].count("V"),
+                       reduced=rec["codes"].count("R"),
+                       failed=rec["codes"].count("F"))
+            line["sha256"] = verifier._digest(
+                {"job": key, "chunk": line["chunk"], "rec": rec})
+            lines.append(json.dumps(line))
+        cp.write_text("".join(line + "\n" for line in lines))
+        assert len(verifier._load_checkpoint(str(cp), job)) == 3
         resumed = verify_theorem(job, workers=1)
         fresh = verify_theorem(VerificationJob("1.1", 0, 120, chunk=16),
                                workers=1)
         assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
-        header, *recs = _journal(cp)
-        assert set(json.loads(header)) == {"job", "sha256"}
-        assert sorted(json.loads(line)["chunk"] for line in recs) == list(
-            range(8))
-        assert not any("prefix" in line for line in [header, *recs])
-        assert os.listdir(tmp_path) == ["ckpt.json"]
-
-    def test_old_single_json_checkpoint_is_checked(self, tmp_path):
-        cp = tmp_path / "ckpt.json"
-        job = VerificationJob("1.1", 0, 60, chunk=16, checkpoint=str(cp))
-        data = dict(verifier._job_key(job))
-        data["chunks"] = {"0": verifier._run_chunk("1.1", 0, 16, None)}
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        data["sha256"] = hashlib.sha256(blob.encode()).hexdigest()
-        other = VerificationJob("1.1", 0, 80, chunk=16, checkpoint=str(cp))
-        cp.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="does not match"):
-            verify_theorem(other, workers=1)
-        data["chunks"]["0"]["verified"] += 1
-        cp.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="integrity"):
-            verify_theorem(job, workers=1)
 
     @pytest.mark.parametrize("content", ["[]", '"x"', "3"])
     def test_non_object_checkpoint_rejected(self, tmp_path, content):
@@ -412,11 +397,20 @@ class TestCheckpointing:
         '{"job":{"theorem":"1.2","lo":0,"hi":120,"chunk":16,"quads":null}',
         '{"job"x',
         "not a journal",
-    ], ids=["other-job", "garbled", "text"])
+        "single-json",
+    ], ids=["other-job", "garbled", "text", "single-json"])
     def test_torn_foreign_header_is_kept(self, tmp_path, text):
         cp = tmp_path / "ckpt.json"
-        cp.write_text(text)
         job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
+        if text == "single-json":
+            # the pre-journal format: one object holding the job key and
+            # "chunks", under one digest, with no newline
+            data = dict(verifier._job_key(job))
+            data["chunks"] = {"0": verifier._run_chunk("1.1", 0, 16, None)}
+            blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            data["sha256"] = hashlib.sha256(blob.encode()).hexdigest()
+            text = json.dumps(data)
+        cp.write_text(text)
         with pytest.raises(ValueError, match="integrity"):
             verify_theorem(job, workers=1)
         assert cp.read_text() == text
