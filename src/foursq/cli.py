@@ -2,13 +2,15 @@
 
 Subcommands: solve, verify, reps, candidates, oracle, check, identities,
 bounds.  Exit codes: 0 success, 1 verification/solve failure found, 2 usage
-error, 3 arithmetic-range error.
+error, 3 arithmetic-range error, 130 interrupted (Ctrl-C), 141 the reader
+of stdout closed it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -236,16 +238,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+        return code
     except ArithmeticRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader went away (`| head`): stop quietly with the code a
+        # shell gives a process killed by SIGPIPE, and send what is still
+        # buffered to /dev/null so the exit flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        resume = getattr(args, "checkpoint", None)
+        print("interrupted" + (f"; run the same command with --checkpoint "
+                               f"{resume} to resume" if resume else ""),
+              file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

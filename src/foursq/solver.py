@@ -139,16 +139,16 @@ NINE_QUADRUPLES = (
 _SUPPORTED = frozenset(NINE_QUADRUPLES)
 
 # Residue filters: for these quadruples l*m - n**2 must avoid certain
-# classes, which prunes candidate values of n before any enumeration.
-_MOD3_QUADS = frozenset(
-    [(1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 3, 0), (2, 3, 4, 0)]
-)
-_MOD5_QUADS = frozenset(
-    [(1, 1, 2, 4), (1, 3, 3, 0), (1, 2, 4, 0), (1, 1, 2, 5)]
-)
+# classes mod 3 or mod 5, which prunes candidate values of n before any
+# enumeration; (1, 2, 3, 5) has its own test.
+_FILTER_MODULUS = {
+    **dict.fromkeys([(1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 3, 0), (2, 3, 4, 0)], 3),
+    **dict.fromkeys([(1, 1, 2, 4), (1, 3, 3, 0), (1, 2, 4, 0), (1, 1, 2, 5)], 5),
+}
+
 
 def _as_quad(quad: Sequence[int]) -> SystemQuadruple:
-    q = SystemQuadruple(*quad)
+    q = quad if isinstance(quad, SystemQuadruple) else SystemQuadruple(*quad)
     if q not in _SUPPORTED and all(q != r.source for r in builtin_rules()):
         raise UnsupportedQuadrupleError(
             f"coefficient quadruple {tuple(q)} is not supported"
@@ -157,7 +157,7 @@ def _as_quad(quad: Sequence[int]) -> SystemQuadruple:
 
 
 def _require_primary(quad: Sequence[int]) -> SystemQuadruple:
-    q = SystemQuadruple(*quad)
+    q = quad if isinstance(quad, SystemQuadruple) else SystemQuadruple(*quad)
     if q not in _SUPPORTED:
         raise UnsupportedQuadrupleError(
             f"coefficient quadruple {tuple(q)} is not one of the nine "
@@ -518,7 +518,7 @@ def _descent_solutions(m: int, n: int,
     big_r = l * m - n * n
     if big_r < 0 or not is_three_square(big_r):
         return
-    mask, planes = _residues.masks_for(tuple(quad), l, n % l)
+    mask, planes = _residues.masks_for(quad, l, n % l)
     ll = l * l
     A = isqrt(big_r)
     while A >= 0 and 3 * A * A >= big_r:
@@ -531,19 +531,19 @@ def _descent_solutions(m: int, n: int,
                       and rem < _VECTOR_MAX_REM)
             scan = _scan_b_vector if vector else _scan_b_scalar
             hits = scan(rem, bhi, blo, l, bres, (A % l) * ll, mask)
-            hits.sort(key=lambda h: -h[0])
+            if len(hits) > 1:
+                hits.sort(key=lambda h: -h[0])
             for B, C, mk in hits:
-                v = 0
-                while mk:
-                    if mk & 1:
-                        A2, B2, C2 = _residues.signed_permutation((A, B, C), v)
-                        g1 = (a * n + b * A2 + c * B2 + d * C2) // l
-                        g2 = (-b * n + a * A2 - d * B2 + c * C2) // l
-                        g3 = (-c * n + d * A2 + a * B2 - b * C2) // l
-                        g4 = (-d * n - c * A2 + b * B2 + a * C2) // l
-                        yield RestrictedSolution(g1, -g2, -g3, -g4, n)
-                    mk >>= 1
-                    v += 1
+                while mk:  # each set bit v, lowest first
+                    low = mk & -mk
+                    mk ^= low
+                    A2, B2, C2 = _residues.signed_permutation(
+                        (A, B, C), low.bit_length() - 1)
+                    g1 = (a * n + b * A2 + c * B2 + d * C2) // l
+                    g2 = (-b * n + a * A2 - d * B2 + c * C2) // l
+                    g3 = (-c * n + d * A2 + a * B2 - b * C2) // l
+                    g4 = (-d * n - c * A2 + b * B2 + a * C2) // l
+                    yield RestrictedSolution(g1, -g2, -g3, -g4, n)
         A -= 1
 
 
@@ -610,10 +610,10 @@ def _validate(sol: RestrictedSolution, m: int, quad: SystemQuadruple) -> None:
 
 def _passes_residue_filter(quad: SystemQuadruple, n: int, r: int) -> bool:
     """The mod-3 / mod-5 obstruction test on r = l*m - n**2."""
-    key = tuple(quad)
-    if key in _MOD3_QUADS:
+    modulus = _FILTER_MODULUS.get(quad)
+    if modulus == 3:
         return r % 3 != 1
-    if key in _MOD5_QUADS:
+    if modulus == 5:
         return r % 5 in (0, 1, 4)
     return r % 5 in (0, 1, 4) or n % 3 != 0  # (1, 2, 3, 5)
 

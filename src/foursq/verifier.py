@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arith import iroot, is_three_square
+from .lipschitz import INT64_MAX, ArithmeticRangeError
 from .solver import (
     NINE_QUADRUPLES,
     NoSolutionError,
@@ -172,8 +174,8 @@ def _verify_one(m: int, theorem: str,
         except NoSolutionError as exc:
             fails.append({"m": m, "quad": list(quad), "trace": str(exc)})
             continue
-        scaled = RestrictedSolution(sol.x * f, sol.y * f, sol.z * f,
-                                    sol.t * f, sol.n * f)
+        scaled = sol if f == 1 else RestrictedSolution(
+            sol.x * f, sol.y * f, sol.z * f, sol.t * f, sol.n * f)
         if not check_solution(m, quad, spec.target_set, scaled):
             fails.append({"m": m, "quad": list(quad),
                           "trace": f"certificate failed revalidation: "
@@ -214,6 +216,9 @@ class VerificationJob:
             raise ValueError("range must be nonnegative")
         if self.chunk < 1:
             raise ValueError("chunk size must be >= 1")
+        if self.hi - 1 > INT64_MAX:
+            raise ArithmeticRangeError(
+                f"m={self.hi - 1} exceeds signed 64-bit range")
         if self.quads is not None:
             if self.theorem in _WINDOWS:
                 raise ValueError("quad filter is not available for windowed "
@@ -296,6 +301,11 @@ def _load_checkpoint(path: str, job: VerificationJob) -> dict[int, dict]:
     return {r["chunk"]: r["rec"] for r in recs}
 
 
+def _ignore_sigint() -> None:
+    """Pool workers leave Ctrl-C to the parent, which stops the run."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
                    include_codes: bool = False,
                    _stop_after_chunks: Optional[int] = None) -> dict:
@@ -308,13 +318,20 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     for CSV output.
     """
     t0 = time.monotonic()
+    if workers is None:
+        env = os.environ.get("FOURSQ_THREADS")
+        try:
+            workers = int(env) if env else os.cpu_count() or 1
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"FOURSQ_THREADS must be a positive integer, "
+                             f"got {env!r}")
     nchunks = (job.hi - job.lo + job.chunk - 1) // job.chunk
     done: dict[int, dict] = {}
     if job.checkpoint:
         done = _load_checkpoint(job.checkpoint, job)
     pending = [i for i in range(nchunks) if i not in done]
-    if workers is None:
-        workers = int(os.environ.get("FOURSQ_THREADS", "0")) or os.cpu_count() or 1
     completed = 0
 
     def bounds(i: int) -> tuple[int, int]:
@@ -335,7 +352,8 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
             start, end = bounds(i)
             record(i, _run_chunk(job.theorem, start, end, job.quads))
     else:
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
+        executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)),
+                                       initializer=_ignore_sigint)
         try:
             futures = {}
             for i in pending:

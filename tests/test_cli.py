@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, output formats, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import foursq
 from foursq.cli import main
 
 
@@ -132,6 +136,34 @@ class TestVerify:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_threads_variable_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FOURSQ_THREADS", value)
+        code, out, err = run(capsys, "verify", "--theorem", "1.3",
+                             "--lo", "0", "--hi", "10")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: FOURSQ_THREADS must be a positive integer, "
+                       f"got {value!r}\n")
+
+    def test_closed_reader_exits_quietly(self):
+        # The read end of stdout is closed before the command prints, so
+        # its first write fails with EPIPE.
+        src = os.path.dirname(os.path.dirname(foursq.__file__))
+        read_end, write_end = os.pipe()
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "foursq.cli", "verify", "--theorem",
+                 "1.3", "--lo", "0", "--hi", "3000", "--chunk", "16",
+                 "--workers", "1", "--format", "csv"],
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+            os.close(read_end)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
 
 class TestEnumeration:
     def test_four_square_reps(self, capsys):
@@ -188,6 +220,15 @@ class TestRangeContract:
     def test_solve_beyond_int64_exits_three(self, capsys):
         code, out, err = run(capsys, "solve", "--m", "10000000000000000001",
                              "--quad", "1,1,2,2", "--set", "squares")
+        assert code == 3
+        assert out == ""
+        assert "exceeds signed 64-bit range" in err
+
+    def test_verify_range_past_int64_exits_three(self, capsys):
+        # 2**63 reduces into range (it is 8 * 64**10), so the job itself
+        # must reject the range before any m is verified.
+        code, out, err = run(capsys, "verify", "--theorem", "1.1",
+                             "--lo", str(2**63 - 1), "--hi", str(2**63 + 1))
         assert code == 3
         assert out == ""
         assert "exceeds signed 64-bit range" in err

@@ -40,13 +40,13 @@ ALL_QUADS = list(NINE_QUADRUPLES) + [
 _PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
-def reference_first_solution(m, n, quad):
+def reference_solutions(m, n, quad):
     """Re-derivation of the deterministic descent, written independently.
 
     Canonical triples of l*m - n**2 in their listed order; for each, the 48
     signed permutations with permutations in lexicographic index order and
-    signs expanding (+ before -) per component; the first variant where the
-    derived coordinates are integral wins.
+    signs expanding (+ before -) per component; every variant where the
+    derived coordinates are integral is a solution, in that order.
     """
     a, b, c, d = quad
     l = a * a + b * b + c * c + d * d
@@ -64,8 +64,13 @@ def reference_first_solution(m, n, quad):
                 g4 = -d * n - c * A + b * B + a * C
                 if g1 % l or g2 % l or g3 % l or g4 % l:
                     continue
-                return (g1 // l, -(g2 // l), -(g3 // l), -(g4 // l))
-    return None
+                yield (g1 // l, -(g2 // l), -(g3 // l), -(g4 // l), n)
+
+
+def reference_first_solution(m, n, quad):
+    """The first solution in the reference order, or None."""
+    sol = next(reference_solutions(m, n, quad), None)
+    return None if sol is None else sol[:4]
 
 
 class TestSolveLinearSystem:
@@ -97,6 +102,11 @@ class TestSolveLinearSystem:
     def test_unsupported_quadruple_rejected(self):
         with pytest.raises(UnsupportedQuadrupleError):
             solve_linear_system(1, 1, (1, 1, 1, 1))
+        # A SystemQuadruple is taken as given, but still checked.
+        with pytest.raises(UnsupportedQuadrupleError):
+            solve_linear_system(1, 1, SystemQuadruple(1, 1, 1, 1))
+        with pytest.raises(UnsupportedQuadrupleError):
+            solve_restricted(3, SystemQuadruple(2, 3, 3, 0), "cubes")
 
     def test_matches_reference_enumeration(self):
         for quad in ALL_QUADS:
@@ -107,6 +117,17 @@ class TestSolveLinearSystem:
                     ref = reference_first_solution(m, n, quad)
                     got = None if sol is None else (sol.x, sol.y, sol.z, sol.t)
                     assert got == ref, (tuple(quad), m, n)
+
+    def test_descent_yields_reference_enumeration(self):
+        # Every solution, not only the first: pins the variant walk within
+        # each hit as well as the order of the triples.
+        for quad in ALL_QUADS:
+            q = SystemQuadruple(*quad)
+            for m in range(41):
+                for n in range(isqrt(q.l * m) + 1):
+                    got = list(solver._descent_solutions(m, n, q))
+                    assert got == list(reference_solutions(m, n, quad)), \
+                        (tuple(quad), m, n)
 
     @given(st.integers(0, 3000), st.sampled_from(ALL_QUADS),
            st.integers(0, 200))

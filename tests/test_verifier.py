@@ -14,6 +14,7 @@ import pytest
 
 import foursq
 from foursq import verifier
+from foursq.lipschitz import INT64_MAX, ArithmeticRangeError
 from foursq.solver import SystemQuadruple
 from foursq.verifier import (
     THEOREM_IDS,
@@ -61,6 +62,12 @@ class TestJobValidation:
             VerificationJob("1.1", -1, 5)
         with pytest.raises(ValueError):
             VerificationJob("1.1", 0, 5, chunk=0)
+        # The last m of a range must be within the range contract.
+        assert VerificationJob("1.1", INT64_MAX, INT64_MAX + 1).hi == 2**63
+        with pytest.raises(ArithmeticRangeError):
+            VerificationJob("1.1", INT64_MAX, INT64_MAX + 2)
+        with pytest.raises(ArithmeticRangeError):
+            VerificationJob("1.4a", 0, 10**30)
 
     def test_quad_filter_checked(self):
         job = VerificationJob("1.1", 0, 10,
@@ -248,7 +255,21 @@ class TestDeterminism:
         assert report["failed"] == 0
 
 
+def _chunk_reporting_sigint(theorem, start, end, quads):
+    """Stands in for `_run_chunk`: V where SIGINT is ignored, else F."""
+    ignored = signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    return {"codes": ("V" if ignored else "F") * (end - start),
+            "failures": []}
+
+
 class TestPoolSize:
+    def test_pool_workers_leave_ctrl_c_to_the_parent(self, monkeypatch):
+        # Ctrl-C reaches every process of the group; an idle worker that
+        # took it would print a KeyboardInterrupt traceback.
+        monkeypatch.setattr(verifier, "_run_chunk", _chunk_reporting_sigint)
+        job = VerificationJob("1.3", 0, 32, chunk=16)
+        assert verify_theorem(job, workers=2)["verified"] == 32
+
     def test_pool_never_larger_than_pending_chunks(self, monkeypatch):
         # The pool forks all of its workers at the first submit, so it must
         # be sized by the work, not by the requested worker count.  The
@@ -257,10 +278,10 @@ class TestPoolSize:
         sizes = []
 
         class CheckedPool(verifier.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
                 assert max_workers <= 2
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(verifier, "ProcessPoolExecutor", CheckedPool)
         job = VerificationJob("1.1", 0, 32, chunk=16)
@@ -489,6 +510,43 @@ class TestCheckpointing:
             proc.wait(timeout=60)
         assert proc.returncode == -signal.SIGKILL
         assert len(cp.read_bytes().splitlines()) < 1 + 188
+        job = VerificationJob("1.3", 0, 3000, chunk=16, checkpoint=str(cp))
+        resumed = verify_theorem(job, workers=1)
+        fresh = verify_theorem(VerificationJob("1.3", 0, 3000, chunk=16),
+                               workers=1)
+        assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
+        assert len(_journal(cp)) == 1 + 188
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ctrl_c_names_the_checkpoint(self, tmp_path, workers):
+        # SIGINT to the whole process group, as Ctrl-C in a terminal sends
+        # it: one line on stderr, exit 130, and a journal that resumes.
+        cp = tmp_path / "ckpt.jsonl"
+        src = os.path.dirname(os.path.dirname(foursq.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "foursq.cli", "verify", "--theorem", "1.3",
+             "--lo", "0", "--hi", "3000", "--chunk", "16",
+             "--workers", str(workers), "--checkpoint", str(cp)],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            start_new_session=True,
+            # a shell starts background jobs with SIGINT ignored
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            deadline = time.monotonic() + 60
+            while not (cp.exists() and cp.read_bytes().count(b"\n") >= 4):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=60)
+        assert proc.returncode == 130
+        assert err.decode() == (f"interrupted; run the same command with "
+                                f"--checkpoint {cp} to resume\n")
         job = VerificationJob("1.3", 0, 3000, chunk=16, checkpoint=str(cp))
         resumed = verify_theorem(job, workers=1)
         fresh = verify_theorem(VerificationJob("1.3", 0, 3000, chunk=16),
