@@ -39,7 +39,6 @@ class Quaternion(NamedTuple):
         return "".join(parts)
 
 
-ZERO = Quaternion(0, 0, 0, 0)
 ONE = Quaternion(1, 0, 0, 0)
 
 

@@ -624,15 +624,15 @@ def admissible_n(m: int, quad: Sequence[int],
 
     Keeps n with n**2 <= l*m, l*m - n**2 a sum of three squares, and, for
     quadruples with a residue obstruction, l*m - n**2 in the allowed classes
-    (mod 3 or mod 5).  Ascending.
+    (mod 3 or mod 5).  Ascending: the head of the candidate stream that
+    `solve_restricted` walks.
     """
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)
     _check_m(m)
     lm = q.l * m
-    return [n for n in ts.members_upto(isqrt(lm))
-            if is_three_square(r := lm - n * n)
-            and _passes_residue_filter(q, n, r)]
+    return [n for n in _candidate_values(m, q, ts, False)
+            if _passes_residue_filter(q, n, lm - n * n)]
 
 
 def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
@@ -720,6 +720,7 @@ def check_solution(m: int, quad: Sequence[int],
     """True iff sol solves the system and its value lies in the target set."""
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)
+    _check_m(m)
     x, y, z, t, n = sol
     return (
         x * x + y * y + z * z + t * t == m
@@ -736,8 +737,7 @@ ORACLE_DEFAULT_BOUND = 10 ** 6
 
 
 def brute_force_oracle(m: int, quad: Sequence[int],
-                       target_set: Union[str, TargetSet],
-                       bound: int = ORACLE_DEFAULT_BOUND
+                       target_set: Union[str, TargetSet]
                        ) -> Optional[RestrictedSolution]:
     """Reference solver: exhaustive scan over all norm-m tuples.
 
@@ -746,13 +746,13 @@ def brute_force_oracle(m: int, quad: Sequence[int],
 
     Returns the solution with the smallest achieved value, breaking ties by
     the lexicographically least tuple; None when no tuple lands in the set.
-    Raises ResourceLimitError when m exceeds the bound.
+    Raises ResourceLimitError when m exceeds ORACLE_DEFAULT_BOUND.
     """
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > bound:
-        raise ResourceLimitError(f"oracle limited to m <= {bound}, got {m}")
+    _check_m(m)
+    if m > ORACLE_DEFAULT_BOUND:
+        raise ResourceLimitError(f"oracle limited to m <= "
+                                 f"{ORACLE_DEFAULT_BOUND}, got {m}")
     sol = oracle.least_solution(m, q, ts.value)
     return None if sol is None else RestrictedSolution(*sol)

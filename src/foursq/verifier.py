@@ -153,8 +153,7 @@ def _verify_windowed(m: int, theorem: str) -> tuple[bool, str]:
                    f"n in [{nlo},{nhi}], tried n={tried}")
 
 
-def _verify_one(m: int, theorem: str,
-                quads: Optional[tuple] = None) -> tuple[str, list[dict]]:
+def _verify_one(m: int, theorem: str) -> tuple[str, list[dict]]:
     """Outcome code for one m: V (verified), R (reduced/skipped), F (failed)."""
     if theorem in _WINDOWS:
         if m % 16 == 0:
@@ -165,10 +164,9 @@ def _verify_one(m: int, theorem: str,
         quad = _WINDOWS[theorem].quad
         return "F", [{"m": m, "quad": list(quad), "trace": trace}]
     spec = _THEOREMS[theorem]
-    quad_list = spec.quads if quads is None else quads
     m2, f = _reduce_full(m, theorem)
     fails = []
-    for quad in quad_list:
+    for quad in spec.quads:
         try:
             sol = solve_restricted(m2, quad, spec.target_set)
         except NoSolutionError as exc:
@@ -185,12 +183,11 @@ def _verify_one(m: int, theorem: str,
     return ("R" if m2 != m else "V"), []
 
 
-def _run_chunk(theorem: str, start: int, end: int,
-               quads: Optional[tuple]) -> dict:
+def _run_chunk(theorem: str, start: int, end: int) -> dict:
     codes = []
     failures: list[dict] = []
     for m in range(start, end):
-        code, fails = _verify_one(m, theorem, quads)
+        code, fails = _verify_one(m, theorem)
         codes.append(code)
         if len(failures) < _FAILURE_CAP:
             failures.extend(fails[: _FAILURE_CAP - len(failures)])
@@ -205,7 +202,6 @@ class VerificationJob:
     lo: int
     hi: int
     chunk: int = 1024
-    quads: Optional[tuple[SystemQuadruple, ...]] = None
     checkpoint: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -219,17 +215,6 @@ class VerificationJob:
         if self.hi - 1 > INT64_MAX:
             raise ArithmeticRangeError(
                 f"m={self.hi - 1} exceeds signed 64-bit range")
-        if self.quads is not None:
-            if self.theorem in _WINDOWS:
-                raise ValueError("quad filter is not available for windowed "
-                                 "verification")
-            allowed = set(_THEOREMS[self.theorem].quads)
-            norm = tuple(SystemQuadruple(*q) for q in self.quads)
-            for q in norm:
-                if q not in allowed:
-                    raise ValueError(f"quadruple {tuple(q)} is not in the "
-                                     f"theorem {self.theorem} list")
-            object.__setattr__(self, "quads", norm)
 
 
 class _SimulatedInterrupt(RuntimeError):
@@ -242,9 +227,9 @@ def _digest(payload: dict) -> str:
 
 
 def _job_key(job: VerificationJob) -> dict:
-    quads = None if job.quads is None else [list(q) for q in job.quads]
+    # Kept as null: journals from builds with a quadruple filter must resume.
     return {"theorem": job.theorem, "lo": job.lo, "hi": job.hi,
-            "chunk": job.chunk, "quads": quads}
+            "chunk": job.chunk, "quads": None}
 
 
 def _line(obj: dict) -> bytes:
@@ -313,9 +298,9 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
 
     Report: {theorem, range: [lo, hi], verified, reduced, failed,
     failures: [{m, quad, trace}], wall_ms, per_sec}; everything except the
-    two timing fields is deterministic.  workers defaults to FOURSQ_THREADS
-    or the CPU count; include_codes adds a per-m outcome string (V/R/F) used
-    for CSV output.
+    two timing fields is deterministic.  workers, a positive integer,
+    defaults to FOURSQ_THREADS or the CPU count; include_codes adds a per-m
+    outcome string (V/R/F) used for CSV output.
     """
     t0 = time.monotonic()
     if workers is None:
@@ -327,6 +312,8 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         if workers < 1:
             raise ValueError(f"FOURSQ_THREADS must be a positive integer, "
                              f"got {env!r}")
+    elif workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     nchunks = (job.hi - job.lo + job.chunk - 1) // job.chunk
     done: dict[int, dict] = {}
     if job.checkpoint:
@@ -350,7 +337,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     if workers <= 1 or len(pending) <= 1:
         for i in pending:
             start, end = bounds(i)
-            record(i, _run_chunk(job.theorem, start, end, job.quads))
+            record(i, _run_chunk(job.theorem, start, end))
     else:
         executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)),
                                        initializer=_ignore_sigint)
@@ -358,8 +345,8 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
             futures = {}
             for i in pending:
                 start, end = bounds(i)
-                futures[executor.submit(_run_chunk, job.theorem, start, end,
-                                        job.quads)] = i
+                futures[executor.submit(_run_chunk, job.theorem, start,
+                                        end)] = i
             for fut in as_completed(futures):
                 record(futures[fut], fut.result())
         finally:

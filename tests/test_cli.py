@@ -1,14 +1,21 @@
 """Command-line interface: exit codes, output formats, round-trips."""
 
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import foursq
 from foursq.cli import main
+from foursq.solver import NINE_QUADRUPLES
+from foursq.verifier import THEOREM_IDS
 
 
 def run(capsys, *argv):
@@ -146,6 +153,15 @@ class TestVerify:
         assert err == (f"error: FOURSQ_THREADS must be a positive integer, "
                        f"got {value!r}\n")
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_workers_argument_is_named(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--theorem", "1.1",
+                             "--lo", "0", "--hi", "20", "--workers", value)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: workers must be a positive integer, "
+                       f"got {value}\n")
+
     def test_closed_reader_exits_quietly(self):
         # The read end of stdout is closed before the command prints, so
         # its first write fails with EPIPE.
@@ -240,6 +256,35 @@ class TestRangeContract:
         assert out == ""
         assert "exceeds signed 64-bit range" in err
 
+    def test_check_beyond_int64_exits_three(self, capsys):
+        code, out, err = run(capsys, "check", "--m", str(10**20),
+                             "--quad", "1,1,2,2", "--set", "squares",
+                             "--x", "1", "--y", "0", "--z", "0", "--t", "0")
+        assert code == 3
+        assert out == ""
+        assert "exceeds signed 64-bit range" in err
+
+    def test_oracle_beyond_int64_exits_three(self, capsys):
+        code, out, err = run(capsys, "oracle", "--m", str(10**30),
+                             "--quad", "1,1,2,2", "--set", "squares")
+        assert code == 3
+        assert out == ""
+        assert "exceeds signed 64-bit range" in err
+
+    @pytest.mark.parametrize("three", [[], ["--three"]])
+    def test_reps_beyond_int64_exits_three(self, capsys, three):
+        code, out, err = run(capsys, "reps", "--m", str(10**23), *three)
+        assert code == 3
+        assert out == ""
+        assert "exceeds signed 64-bit range" in err
+
+    @pytest.mark.parametrize("three", [[], ["--three"]])
+    def test_reps_beyond_work_bound_exits_two(self, capsys, three):
+        code, out, err = run(capsys, "reps", "--m", str(10**6 + 1), *three)
+        assert code == 2
+        assert out == ""
+        assert err == "error: reps limited to m <= 1000000, got 1000001\n"
+
 
 class TestSelfChecks:
     def test_identities(self, capsys):
@@ -263,3 +308,77 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# The argv grammar of every command that the range contract and the work
+# bounds keep fast.  `solve --natural` and `solve --n` are left out until
+# their latency is bounded: (2,2,3,0)/pow2 takes seconds near 10**9.
+_INTS = [str(v) for v in (-1, 0, 1, 2**63 - 1, 2**63, 10**30)]
+_MALFORMED = ["x", "1.5", ""]
+_INT = st.sampled_from(_INTS + _MALFORMED)
+_QUAD = st.one_of(
+    st.sampled_from([",".join(map(str, q)) for q in NINE_QUADRUPLES]),
+    st.lists(st.sampled_from(_INTS), min_size=4, max_size=4).map(",".join),
+    st.sampled_from(_MALFORMED))
+_SET = st.sampled_from(["squares", "cubes", "pow2", "x"])
+_SYSTEM = st.tuples(_INT, _QUAD, _SET).map(
+    lambda s: ["--m", s[0], "--quad", s[1], "--set", s[2]])
+
+
+@st.composite
+def _verify_argv(draw):
+    lo = draw(_INT)
+    try:
+        hi = str(int(lo) + draw(st.integers(0, 8)))  # at most 8 m
+    except ValueError:
+        hi = draw(_INT)
+    # --workers is always given, so that no call starts more than 2
+    # processes whatever the CPU count or FOURSQ_THREADS.
+    return ["verify", "--theorem", draw(st.sampled_from(THEOREM_IDS)),
+            "--lo", lo, "--hi", hi, "--chunk", draw(_INT),
+            "--workers", draw(st.sampled_from(["-1", "0", "1", "2"])),
+            "--format", draw(st.sampled_from(["json", "csv"]))]
+
+
+_ARGV = st.one_of(
+    st.tuples(_INT, st.booleans()).map(
+        lambda a: ["reps", "--m", a[0]] + ["--three"] * a[1]),
+    st.tuples(_INT, _SET).map(
+        lambda a: ["candidates", "--m", a[0], "--kind", a[1]]),
+    _SYSTEM.map(lambda s: ["oracle", *s]),
+    st.tuples(_SYSTEM, st.lists(_INT, min_size=4, max_size=4)).map(
+        lambda a: ["check", *a[0], "--x", a[1][0], "--y", a[1][1],
+                   "--z", a[1][2], "--t", a[1][3]]),
+    st.tuples(_SYSTEM, st.sampled_from(["human", "json"])).map(
+        lambda a: ["solve", *a[0], "--format", a[1]]),
+    _verify_argv())
+
+# Seconds one call may take; the slowest drawn call takes about 0.1 s.
+_CALL_CAP = 5.0
+
+
+class _Overrun(Exception):
+    pass
+
+
+def _overrun(signum, frame):
+    raise _Overrun(f"call ran past {_CALL_CAP} s")
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_ARGV)
+@example(argv=["reps", "--m", str(2**63 - 1)])
+def test_every_drawn_argv_keeps_the_exit_code_contract(argv):
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, _CALL_CAP)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1, 2, 3), argv
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -15,7 +15,6 @@ import pytest
 import foursq
 from foursq import verifier
 from foursq.lipschitz import INT64_MAX, ArithmeticRangeError
-from foursq.solver import SystemQuadruple
 from foursq.verifier import (
     THEOREM_IDS,
     VerificationJob,
@@ -68,16 +67,6 @@ class TestJobValidation:
             VerificationJob("1.1", INT64_MAX, INT64_MAX + 2)
         with pytest.raises(ArithmeticRangeError):
             VerificationJob("1.4a", 0, 10**30)
-
-    def test_quad_filter_checked(self):
-        job = VerificationJob("1.1", 0, 10,
-                              quads=((1, 1, 2, 2), (1, 2, 3, 5)))
-        assert job.quads == (SystemQuadruple(1, 1, 2, 2),
-                             SystemQuadruple(1, 2, 3, 5))
-        with pytest.raises(ValueError):
-            VerificationJob("1.3", 0, 10, quads=((1, 2, 3, 5),))
-        with pytest.raises(ValueError):
-            VerificationJob("1.4a", 0, 10, quads=((1, 2, 3, 5),))
 
 
 class TestSmallRanges:
@@ -255,7 +244,7 @@ class TestDeterminism:
         assert report["failed"] == 0
 
 
-def _chunk_reporting_sigint(theorem, start, end, quads):
+def _chunk_reporting_sigint(theorem, start, end):
     """Stands in for `_run_chunk`: V where SIGINT is ignored, else F."""
     ignored = signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     return {"codes": ("V" if ignored else "F") * (end - start),
@@ -363,6 +352,27 @@ class TestCheckpointing:
                                workers=1)
         assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
 
+    def test_pinned_journal_format_resumes(self, tmp_path):
+        # Lines written by an earlier build, byte for byte: the job key
+        # (with its "quads" field) and each digest must not change, or
+        # existing journals would no longer resume.
+        cp = tmp_path / "ckpt.json"
+        cp.write_text(
+            '{"job":{"theorem":"1.1","lo":0,"hi":48,"chunk":16,"quads":null},'
+            '"sha256":"52be31d9af6c83ae535c50de50832b88'
+            '90baa0f2176aafc6f53a55209021372d"}\n'
+            '{"chunk":0,"rec":{"codes":"VVVVVVVVVVVVVVVV","failures":[]},'
+            '"sha256":"63fae1f422884537ad93f82728a5f6f4'
+            '573659c7521d88456db44569c2355fb3"}\n')
+        pinned = _journal(cp)
+        job = VerificationJob("1.1", 0, 48, chunk=16, checkpoint=str(cp))
+        assert list(verifier._load_checkpoint(str(cp), job)) == [0]
+        resumed = verify_theorem(job, workers=1)
+        fresh = verify_theorem(VerificationJob("1.1", 0, 48, chunk=16),
+                               workers=1)
+        assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
+        assert _journal(cp)[:2] == pinned and len(_journal(cp)) == 1 + 3
+
     @pytest.mark.parametrize("content", ["[]", '"x"', "3"])
     def test_non_object_checkpoint_rejected(self, tmp_path, content):
         cp = tmp_path / "ckpt.json"
@@ -427,7 +437,7 @@ class TestCheckpointing:
             # the pre-journal format: one object holding the job key and
             # "chunks", under one digest, with no newline
             data = dict(verifier._job_key(job))
-            data["chunks"] = {"0": verifier._run_chunk("1.1", 0, 16, None)}
+            data["chunks"] = {"0": verifier._run_chunk("1.1", 0, 16)}
             blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
             data["sha256"] = hashlib.sha256(blob.encode()).hexdigest()
             text = json.dumps(data)
