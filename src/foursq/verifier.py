@@ -11,11 +11,12 @@ counts and chunk sizes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -194,6 +195,17 @@ def _run_chunk(theorem: str, start: int, end: int) -> dict:
     return {"codes": "".join(codes), "failures": failures}
 
 
+# With more than one worker, chunks shorter than this many m run several to
+# a pool task, so one round trip and one journal save cover about _TASK_M m.
+_TASK_M = 256
+
+
+def _run_chunks(theorem: str, spans: list[tuple[int, int]]) -> list[dict]:
+    # _run_chunk is looked up as a module global at call time, so a
+    # replacement installed before the pool forks reaches the workers.
+    return [_run_chunk(theorem, s, e) for s, e in spans]
+
+
 @dataclass(frozen=True)
 class VerificationJob:
     """A verification range: theorem id, m in [lo, hi), chunking, checkpoint."""
@@ -325,30 +337,42 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         start = job.lo + i * job.chunk
         return start, min(job.hi, start + job.chunk)
 
-    def record(i: int, rec: dict) -> None:
+    def record(recs: dict[int, dict]) -> None:
         nonlocal completed
-        done[i] = rec
+        done.update(recs)
         if job.checkpoint:
-            _save_checkpoint(job.checkpoint, job, {i: rec})
-        completed += 1
+            _save_checkpoint(job.checkpoint, job, recs)
+        completed += len(recs)
+        # Pool tasks record several chunks at once, so the hook fires at
+        # the first record that brings the count to at least N.
         if _stop_after_chunks is not None and completed >= _stop_after_chunks:
             raise _SimulatedInterrupt(f"stopped after {completed} chunks")
 
     if workers <= 1 or len(pending) <= 1:
         for i in pending:
             start, end = bounds(i)
-            record(i, _run_chunk(job.theorem, start, end))
+            record({i: _run_chunk(job.theorem, start, end)})
     else:
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)),
+        # Never fewer tasks than workers; at most two tasks per worker in
+        # flight, so the parent holds few futures however long the range.
+        per = max(1, min(_TASK_M // job.chunk, len(pending) // workers))
+        tasks = [pending[k:k + per] for k in range(0, len(pending), per)]
+        size = min(workers, len(tasks))
+        executor = ProcessPoolExecutor(max_workers=size,
                                        initializer=_ignore_sigint)
         try:
-            futures = {}
-            for i in pending:
-                start, end = bounds(i)
-                futures[executor.submit(_run_chunk, job.theorem, start,
-                                        end)] = i
-            for fut in as_completed(futures):
-                record(futures[fut], fut.result())
+            running: dict = {}
+            queued = iter(tasks)
+            while True:
+                for task in itertools.islice(queued, 2 * size - len(running)):
+                    spans = [bounds(i) for i in task]
+                    running[executor.submit(_run_chunks, job.theorem,
+                                            spans)] = task
+                if not running:
+                    break
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    record(dict(zip(running.pop(fut), fut.result())))
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
 

@@ -279,6 +279,30 @@ class TestPoolSize:
         serial = verify_theorem(job, workers=1)
         assert canonical_report_bytes(report) == canonical_report_bytes(serial)
 
+    def test_at_most_two_tasks_per_worker_in_flight(self, monkeypatch):
+        # Each future costs the parent memory, so tasks are submitted as
+        # earlier ones finish rather than all at once.
+        in_flight = []
+
+        class CountingPool(verifier.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                self.futures = []
+                super().__init__(*args, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                fut = super().submit(*args, **kwargs)
+                self.futures.append(fut)
+                in_flight.append(sum(not f.done() for f in self.futures))
+                return fut
+
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", CountingPool)
+        job = VerificationJob("1.3", 0, 4096, chunk=256)
+        report = verify_theorem(job, workers=2, include_codes=True)
+        assert len(in_flight) == 16 and max(in_flight) <= 4
+        serial = verify_theorem(job, workers=1, include_codes=True)
+        assert report["codes"] == serial["codes"]
+        assert canonical_report_bytes(report) == canonical_report_bytes(serial)
+
 
 class TestCheckpointing:
     def test_interrupt_leaves_resumable_state(self, tmp_path):
@@ -498,6 +522,54 @@ class TestCheckpointing:
         monkeypatch.setattr(verifier, "_save_checkpoint", checked_save)
         verify_theorem(job, workers=1)
         assert growth == [2] + [1] * 9
+
+    @pytest.mark.parametrize("hi, chunk, saves", [(1024, 16, 4),
+                                                   (2048, 256, 8)])
+    def test_pool_task_is_one_save(self, tmp_path, monkeypatch, hi, chunk,
+                                   saves):
+        # With 2 workers, 16-m chunks run 16 to a task and 256-m chunks one
+        # to a task; each task's records are appended by one save.
+        save = verifier._save_checkpoint
+        sizes = []
+
+        def counted_save(path, job, done):
+            sizes.append(len(done))
+            save(path, job, done)
+
+        monkeypatch.setattr(verifier, "_save_checkpoint", counted_save)
+        pooled, serial = tmp_path / "w2.jsonl", tmp_path / "w1.jsonl"
+        verify_theorem(VerificationJob("1.3", 0, hi, chunk=chunk,
+                                       checkpoint=str(pooled)), workers=2)
+        assert len(sizes) == saves and sum(sizes) == hi // chunk
+        assert len(_journal(pooled)) == 1 + hi // chunk
+        verify_theorem(VerificationJob("1.3", 0, hi, chunk=chunk,
+                                       checkpoint=str(serial)), workers=1)
+        assert _journal(pooled)[0] == _journal(serial)[0]
+        assert set(_journal(pooled)) == set(_journal(serial))
+        fresh = verify_theorem(VerificationJob("1.3", 0, hi, chunk=chunk),
+                               workers=1)
+        for path in (pooled, serial):
+            job = VerificationJob("1.3", 0, hi, chunk=chunk,
+                                  checkpoint=str(path))
+            resumed = verify_theorem(job, workers=2)
+            assert (canonical_report_bytes(resumed)
+                    == canonical_report_bytes(fresh))
+
+    def test_pool_resume_with_gaps(self, tmp_path):
+        # Finished chunks scattered through the range: each pool task runs
+        # only pending chunks, and every chunk is journalled exactly once.
+        cp = tmp_path / "ckpt.jsonl"
+        job = VerificationJob("1.3", 0, 400, chunk=16, checkpoint=str(cp))
+        verifier._save_checkpoint(str(cp), job, {
+            i: verifier._run_chunk("1.3", 16 * i, 16 * i + 16)
+            for i in (0, 3, 4, 9)})
+        resumed = verify_theorem(job, workers=2, include_codes=True)
+        fresh = verify_theorem(VerificationJob("1.3", 0, 400, chunk=16),
+                               workers=1, include_codes=True)
+        assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
+        assert resumed["codes"] == fresh["codes"]
+        chunks = [json.loads(line)["chunk"] for line in _journal(cp)[1:]]
+        assert sorted(chunks) == list(range(25))
 
     def test_resume_after_sigkill(self, tmp_path):
         # A real crash: the CLI process is killed (no cleanup runs) once
