@@ -10,9 +10,10 @@ of valid signed-permutation variants.  The solver then only has to probe
 classes along its enumeration order.
 
 The valid rho are the right multiples of beta, a lattice of index l**2 in
-Z**4, so for each n mod l exactly l signed triples mod l are valid.  Each
-table is therefore built from those l triples: bit v is set on the class
-that variant v maps onto each of them.
+Z**4, so for each n mod l exactly l signed triples mod l are valid.  One
+array pass over the l**3 triples of a quadruple finds the n each is valid
+for; each table is then built from its l triples: bit v is set on the
+class that variant v maps onto each of them.
 
 Internal module: everything here is an implementation detail of
 foursq.solver.
@@ -21,6 +22,7 @@ foursq.solver.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -57,6 +59,39 @@ def mmatrix(quad: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int],
     )
 
 
+# The same variants as tables: _NEG[v, i] is True when variant v negates
+# component i, and _INV[v] is the inverse of its permutation.
+_VARIANTS = np.arange(48, dtype=np.int64)
+_NEG = (_VARIANTS[:, None] >> np.array([2, 1, 0])) & 1 == 1
+_INV = np.argsort(np.array(PERMS), axis=1)[_VARIANTS >> 3]
+_BITS = np.int64(1) << _VARIANTS
+
+
+@lru_cache(maxsize=None)
+def _valid_n(quad: tuple[int, int, int, int], l: int) -> np.ndarray:
+    """For each packed class (A%l, B%l, C%l): the n mod l that makes
+    (n, A, B, C) valid, or -1 if none does.
+
+    That n is unique: two would differ by an integer r with
+    r*conj(beta) = 0 (mod l), and gcd(a, b, c, d, l) = 1 gives l | r.  A row
+    of M whose n coefficient is a unit mod l fixes it; each quadruple the
+    solver accepts has one.
+    """
+    rows = mmatrix(quad)
+    unit = next(row for row in rows if gcd(row[0], l) == 1)
+    r = np.arange(l, dtype=np.int32)
+    A, B, C = r[:, None, None], r[None, :, None], r[None, None, :]
+
+    def rest(row: tuple[int, int, int, int]) -> np.ndarray:
+        return row[1] * A + row[2] * B + row[3] * C
+
+    n = -pow(unit[0], -1, l) * rest(unit) % l
+    valid = np.ones((l, l, l), dtype=bool)
+    for row in rows:
+        valid &= (row[0] * n + rest(row)) % l == 0
+    return np.where(valid, n, -1).astype(np.min_scalar_type(-l)).ravel()
+
+
 @lru_cache(maxsize=None)
 def masks_for(
     quad: tuple[int, int, int, int], l: int, n_mod: int
@@ -66,29 +101,23 @@ def masks_for(
     mask: packed residue class (A%l, B%l, C%l) -> nonzero bitmask of valid
     variants (bit v set iff variant v of a triple in that class yields an
     integral gamma).  planes[a]: sorted B-residues that can possibly hit,
-    given A % l == a.
+    given A % l == a.  Keys, values and plane entries are Python ints.
     """
-    grid = np.indices((l, l, l)).reshape(3, -1)
-    valid = np.ones(grid.shape[1], dtype=bool)
-    for row in mmatrix(quad):
-        valid &= (row[0] * n_mod + row[1] * grid[0] + row[2] * grid[1]
-                  + row[3] * grid[2]) % l == 0
-    mask: dict[int, int] = {}
-    for t in grid[:, valid].T.tolist():
-        for v in range(48):
-            # The class c with signed_permutation(c, v) == t (mod l):
-            # un-negate t, then un-permute.
-            c = [0, 0, 0]
-            for i, bit in enumerate((4, 2, 1)):
-                c[PERMS[v >> 3][i]] = -t[i] % l if v & bit else t[i]
-            idx = (c[0] * l + c[1]) * l + c[2]
-            mask[idx] = mask.get(idx, 0) | 1 << v
-    plane_sets: list[set[int]] = [set() for _ in range(l)]
     ll = l * l
-    for idx in mask:
-        plane_sets[idx // ll].add((idx // l) % l)
-    planes = tuple(tuple(sorted(s)) for s in plane_sets)
-    return mask, planes
+    t = np.flatnonzero(_valid_n(quad, l) == n_mod)
+    t = np.stack((t // ll, t // l % l, t % l))
+    # The class c with signed_permutation(c, v) == t (mod l): un-negate t,
+    # then un-permute.
+    c = np.where(_NEG[:, :, None], -t % l, t)[_VARIANTS[:, None], _INV]
+    keys = (c[:, 0] * l + c[:, 1]) * l + c[:, 2]
+    bits = np.zeros(l * ll, dtype=np.int64)
+    np.bitwise_or.at(bits, keys.ravel(), _BITS.repeat(t.shape[1]))
+    idx = np.flatnonzero(bits)
+    mask = dict(zip(idx.tolist(), bits[idx].tolist()))
+    plane_lists: list[list[int]] = [[] for _ in range(l)]
+    for ab in np.unique(idx // l).tolist():
+        plane_lists[ab // l].append(ab % l)
+    return mask, tuple(map(tuple, plane_lists))
 
 
 @lru_cache(maxsize=None)

@@ -267,35 +267,60 @@ def _save_checkpoint(path: str, job: VerificationJob,
         os.fsync(fh.fileno())
 
 
-def _load_checkpoint(path: str, job: VerificationJob) -> dict[int, dict]:
-    """Finished chunks from the journal at ``path``; none if it is missing.
+def _tally(rec: dict, keep_codes: bool) -> tuple:
+    """A chunk record reduced to what the report needs: its V, R and F
+    counts, its failures and its per-m codes, or None unless ``keep_codes``."""
+    codes = rec["codes"]
+    return (codes.count("V"), codes.count("R"), codes.count("F"),
+            rec["failures"], codes if keep_codes else None)
+
+
+def _load_checkpoint(path: str, job: VerificationJob,
+                     keep_codes: bool = False) -> dict[int, tuple]:
+    """Finished chunks from the journal at ``path``, each reduced by
+    `_tally` as its line is read; none if the file is missing.
 
     A torn last line is truncated away, so its chunk (or this job's header)
     is redone; a complete line that fails its parse or digest is an error.
     """
     if not os.path.exists(path):
         return {}
-    with open(path, "rb") as fh:
-        blob = fh.read()
     key = _job_key(job)
-    if _line({"job": key, "sha256": _digest(key)}).startswith(blob):
-        os.truncate(path, 0)  # empty, or a first save cut inside the header
-        return {}
-    *lines, tail = blob.split(b"\n")
-    try:
-        header, *recs = [json.loads(line) for line in lines]
-        ok = header["sha256"] == _digest(header["job"]) and all(
-            r["sha256"] == _digest({"job": header["job"], "chunk": r["chunk"],
-                                    "rec": r["rec"]}) for r in recs)
-    except (ValueError, KeyError, TypeError):
-        ok = False
-    if not ok:
-        raise ValueError(f"checkpoint {path} failed its integrity check")
-    if header["job"] != key:
-        raise ValueError(f"checkpoint {path} does not match this job")
-    if tail:
-        os.truncate(path, len(blob) - len(tail))
-    return {r["chunk"]: r["rec"] for r in recs}
+    done: dict[int, tuple] = {}
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        first = fh.readline()
+        if len(first) == size and _line(
+                {"job": key, "sha256": _digest(key)}).startswith(first):
+            intact = 0  # empty, or a first save cut inside the header
+        else:
+            ok, intact = False, 0
+            try:
+                for line in itertools.chain([first], fh):
+                    if not line.endswith(b"\n"):
+                        break  # a torn last line
+                    obj = json.loads(line)
+                    if intact == 0:
+                        header = obj["job"]
+                        ok = obj["sha256"] == _digest(header)
+                    else:
+                        ok = obj["sha256"] == _digest(
+                            {"job": header, "chunk": obj["chunk"],
+                             "rec": obj["rec"]})
+                        if ok and header == key:
+                            done[obj["chunk"]] = _tally(obj["rec"], keep_codes)
+                    if not ok:
+                        break
+                    intact += len(line)
+            except (ValueError, KeyError, TypeError, AttributeError):
+                ok = False
+            if not ok:
+                raise ValueError(f"checkpoint {path} failed its integrity check")
+            if header != key:
+                raise ValueError(f"checkpoint {path} does not match this job")
+    if intact < size:
+        os.truncate(path, intact)
+    return done
 
 
 def _ignore_sigint() -> None:
@@ -327,11 +352,28 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     elif workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     nchunks = (job.hi - job.lo + job.chunk - 1) // job.chunk
-    done: dict[int, dict] = {}
-    if job.checkpoint:
-        done = _load_checkpoint(job.checkpoint, job)
-    pending = [i for i in range(nchunks) if i not in done]
+    # Finished chunks are held only as running V/R/F counts, the failures
+    # of chunks that have any and, for CSV output, the per-m codes.
+    counts = [0, 0, 0]
+    failures: dict[int, list[dict]] = {}
+    codes: dict[int, str] = {}
     completed = 0
+
+    def absorb(i: int, tally: tuple) -> None:
+        v, r, f, fails, chunk_codes = tally
+        counts[0] += v
+        counts[1] += r
+        counts[2] += f
+        if fails:
+            failures[i] = fails
+        if chunk_codes is not None:
+            codes[i] = chunk_codes
+
+    loaded = (_load_checkpoint(job.checkpoint, job, include_codes)
+              if job.checkpoint else {})
+    pending = [i for i in range(nchunks) if i not in loaded]
+    for i, tally in loaded.items():
+        absorb(i, tally)
 
     def bounds(i: int) -> tuple[int, int]:
         start = job.lo + i * job.chunk
@@ -339,9 +381,10 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
 
     def record(recs: dict[int, dict]) -> None:
         nonlocal completed
-        done.update(recs)
         if job.checkpoint:
             _save_checkpoint(job.checkpoint, job, recs)
+        for i, rec in recs.items():
+            absorb(i, _tally(rec, include_codes))
         completed += len(recs)
         # Pool tasks record several chunks at once, so the hook fires at
         # the first record that brings the count to at least N.
@@ -376,25 +419,22 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
 
-    parts: list[str] = []
-    failures: list[dict] = []
-    for i in range(nchunks):
-        parts.append(done[i]["codes"])
-        failures.extend(done[i]["failures"][: _FAILURE_CAP - len(failures)])
-    codes = "".join(parts)
+    reported: list[dict] = []
+    for i in sorted(failures):
+        reported.extend(failures[i][: _FAILURE_CAP - len(reported)])
     wall = max(time.monotonic() - t0, 1e-9)
     report = {
         "theorem": job.theorem,
         "range": [job.lo, job.hi],
-        "verified": codes.count("V"),
-        "reduced": codes.count("R"),
-        "failed": codes.count("F"),
-        "failures": failures,
+        "verified": counts[0],
+        "reduced": counts[1],
+        "failed": counts[2],
+        "failures": reported,
         "wall_ms": round(wall * 1000.0, 3),
         "per_sec": round((job.hi - job.lo) / wall, 3),
     }
     if include_codes:
-        report["codes"] = codes
+        report["codes"] = "".join(codes[i] for i in range(nchunks))
     return report
 
 

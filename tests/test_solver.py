@@ -4,6 +4,7 @@ candidate sets, and the restricted top-level search."""
 import ast
 import hashlib
 import itertools
+import json
 import random
 import sys
 import time
@@ -242,6 +243,37 @@ class TestMasks:
                 tuple(sorted({idx // l % l for idx in mask
                               if idx // (l * l) == a}))
                 for a in range(l))
+
+    @staticmethod
+    def every_table():
+        for quad in NINE_QUADRUPLES:
+            for q in (quad, companion_source(quad)):
+                for r in range(q.l):
+                    yield q, r, _residues.masks_for(tuple(q), q.l, r)
+
+    def test_pinned_digest(self):
+        """Every table the descent can ask for, byte for byte: 402 tables
+        with 209,214 entries, digest taken from the pure-Python build."""
+        h = hashlib.sha256()
+        tables = entries = 0
+        for q, r, (mask, planes) in self.every_table():
+            line = json.dumps([list(q), q.l, r, sorted(mask.items()), planes],
+                              separators=(",", ":"))
+            h.update((line + "\n").encode())
+            tables += 1
+            entries += len(mask)
+        assert (tables, entries) == (402, 209_214)
+        assert h.hexdigest() == ("d266faed4734340fe55cb39543dfd6a9"
+                                 "cae82833ae5ad140d570745abe9ed499")
+
+    def test_entries_are_python_ints(self):
+        """A numpy scalar in `planes` would turn the scalar B-scan's
+        arithmetic into numpy arithmetic and change `residue_array`'s keys."""
+        for _, _, (mask, planes) in self.every_table():
+            assert {type(k) for k in mask} == {int}
+            assert {type(v) for v in mask.values()} == {int}
+            assert all(type(b) is int for plane in planes for b in plane)
+            assert all(type(plane) is tuple for plane in planes)
 
 
 class TestVectorScan:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import mpmath
 import pytest
@@ -302,6 +303,61 @@ class TestPoolSize:
         serial = verify_theorem(job, workers=1, include_codes=True)
         assert report["codes"] == serial["codes"]
         assert canonical_report_bytes(report) == canonical_report_bytes(serial)
+
+
+def _all_verified(theorem, start, end):
+    """Stands in for `_run_chunk`: every m verified, at no solving cost."""
+    return {"codes": "V" * (end - start), "failures": []}
+
+
+def _all_failed(theorem, start, end):
+    """Stands in for `_run_chunk`: every m fails, each with one failure."""
+    return {"codes": "F" * (end - start),
+            "failures": [{"m": m, "quad": [1, 1, 2, 2], "trace": "stub"}
+                         for m in range(start, end)]}
+
+
+class TestParentMemory:
+    """The parent holds running counts and the failures of chunks that
+    have any, not the per-m codes, unless CSV output asks for them."""
+
+    @staticmethod
+    def peak(job, **kwargs):
+        tracemalloc.start()
+        try:
+            report = verify_theorem(job, workers=1, **kwargs)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_stays_flat_as_the_range_grows(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(verifier, "_run_chunk", _all_verified)
+        peaks = {}
+        for hi in (10**5, 10**6):
+            job = VerificationJob("1.3", 0, hi, chunk=2**14,
+                                  checkpoint=str(tmp_path / f"{hi}.jsonl"))
+            fresh, fresh_peak = self.peak(job)
+            # The second run resumes from the complete journal.
+            resumed, resumed_peak = self.peak(job)
+            assert fresh["verified"] == resumed["verified"] == hi
+            peaks[hi] = fresh_peak, resumed_peak
+        # Holding the codes costs 1 byte per m, 900 kB more at 10**6 m.
+        for small, big in zip(peaks[10**5], peaks[10**6]):
+            assert big - small < 64_000, peaks
+        report, csv_peak = self.peak(VerificationJob("1.3", 0, 10**6,
+                                                     chunk=2**14),
+                                     include_codes=True)
+        assert report["codes"] == "V" * 10**6 and csv_peak > 10**6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failures_in_m_order(self, monkeypatch, workers):
+        # Pool tasks finish out of order; the failures reported must still
+        # be the first _FAILURE_CAP by m.
+        monkeypatch.setattr(verifier, "_run_chunk", _all_failed)
+        job = VerificationJob("1.1", 0, 1000, chunk=8)
+        report = verify_theorem(job, workers=workers)
+        assert report["failed"] == 1000
+        assert [f["m"] for f in report["failures"]] == list(range(100))
 
 
 class TestCheckpointing:
