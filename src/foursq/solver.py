@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -448,6 +448,42 @@ def _two_square_possible(rem: int) -> bool:
     return True
 
 
+def _primes_below(n: int) -> list[int]:
+    """The primes p < n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+# The product of the primes p = 3 (mod 4) in (47, 4096): those that
+# `_two_square_possible` does not test.  Worth one gcd only before a vector
+# scan; for a scalar scan the gcd costs more than the scan.
+_GATE_PRODUCT = prod(p for p in _primes_below(4096) if p % 4 == 3 and p > 47)
+
+
+def _two_square_gate(rem: int) -> bool:
+    """False only when a prime factor of _GATE_PRODUCT divides rem to an
+    odd power, so that rem is not B**2 + C**2 (Fermat).
+
+    g holds the shared primes not yet resolved, each still dividing rem.
+    Dividing by g once and then by the primes still shared removes two
+    from each exponent; a prime of g that divided rem only once has an odd
+    exponent.  Only gcds are taken; no prime is divided out by name.
+    """
+    g = gcd(rem, _GATE_PRODUCT) if rem else 1
+    while g > 1:
+        rem //= g
+        h = gcd(rem, g)
+        if h != g:
+            return False
+        rem //= h
+        g = gcd(rem, h)
+    return True
+
+
 # A B-scan with at least this many probes runs in numpy; shorter scans stay
 # scalar, where numpy's fixed cost per call (about 20 us) dominates.  Timing
 # both scans on every scan of verify blocks near 1e5, 1e9, 1e12 and the
@@ -511,7 +547,9 @@ def _descent_solutions(m: int, n: int,
     signed permutations are visited in variant order (permutations of
     (A,B,C) lexicographically, then signs with + before -).  Long B-scans
     run in numpy; the order is the same either way.  An A whose remainder
-    is not a sum of two squares has no hit, so its scan is skipped.
+    is not a sum of two squares has no hit, so its scan is skipped: every
+    scan after the tests of `_two_square_possible`, a vector scan also
+    after `_two_square_gate`.
     """
     a, b, c, d = quad
     l = quad.l
@@ -529,8 +567,11 @@ def _descent_solutions(m: int, n: int,
             blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
             vector = ((bhi - blo) // l * len(bres) >= _VECTOR_MIN_PROBES
                       and rem < _VECTOR_MAX_REM)
-            scan = _scan_b_vector if vector else _scan_b_scalar
-            hits = scan(rem, bhi, blo, l, bres, (A % l) * ll, mask)
+            if vector and not _two_square_gate(rem):
+                hits = []
+            else:
+                scan = _scan_b_vector if vector else _scan_b_scalar
+                hits = scan(rem, bhi, blo, l, bres, (A % l) * ll, mask)
             if len(hits) > 1:
                 hits.sort(key=lambda h: -h[0])
             for B, C, mk in hits:
@@ -550,13 +591,19 @@ def _descent_solutions(m: int, n: int,
 def _naturalize(sol: RestrictedSolution,
                 quad: SystemQuadruple) -> Optional[RestrictedSolution]:
     """Flip free coordinates (zero coefficient) and demand nonnegativity."""
-    coords = [sol.x, sol.y, sol.z, sol.t]
-    for i, coef in enumerate(quad):
-        if coef == 0:
-            coords[i] = abs(coords[i])
-    if all(v >= 0 for v in coords):
-        return RestrictedSolution(coords[0], coords[1], coords[2], coords[3], sol.n)
-    return None
+    x, y, z, t, n = sol
+    a, b, c, d = quad
+    if not a:
+        x = abs(x)
+    if not b:
+        y = abs(y)
+    if not c:
+        z = abs(z)
+    if not d:
+        t = abs(t)
+    if x < 0 or y < 0 or z < 0 or t < 0:
+        return None
+    return RestrictedSolution(x, y, z, t, n)
 
 
 def _check_m(m: int, name: str = "m") -> None:

@@ -353,7 +353,8 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         raise ValueError(f"workers must be a positive integer, got {workers}")
     nchunks = (job.hi - job.lo + job.chunk - 1) // job.chunk
     # Finished chunks are held only as running V/R/F counts, the failures
-    # of chunks that have any and, for CSV output, the per-m codes.
+    # that can still be among the first _FAILURE_CAP in m order and, for
+    # CSV output, the per-m codes.
     counts = [0, 0, 0]
     failures: dict[int, list[dict]] = {}
     codes: dict[int, str] = {}
@@ -366,12 +367,22 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         counts[2] += f
         if fails:
             failures[i] = fails
+            # Chunks past the first _FAILURE_CAP failures in m order can
+            # never be reported, so at most _FAILURE_CAP chunks stay held.
+            held = 0
+            for j in sorted(failures):
+                if held >= _FAILURE_CAP:
+                    del failures[j]
+                else:
+                    held += len(failures[j])
         if chunk_codes is not None:
             codes[i] = chunk_codes
 
     loaded = (_load_checkpoint(job.checkpoint, job, include_codes)
               if job.checkpoint else {})
-    pending = [i for i in range(nchunks) if i not in loaded]
+    # Lazy, so the parent holds no list of every chunk number.
+    pending = (i for i in range(nchunks) if i not in loaded)
+    npending = nchunks - len(loaded)
     for i, tally in loaded.items():
         absorb(i, tally)
 
@@ -391,21 +402,21 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         if _stop_after_chunks is not None and completed >= _stop_after_chunks:
             raise _SimulatedInterrupt(f"stopped after {completed} chunks")
 
-    if workers <= 1 or len(pending) <= 1:
+    if workers <= 1 or npending <= 1:
         for i in pending:
             start, end = bounds(i)
             record({i: _run_chunk(job.theorem, start, end)})
     else:
         # Never fewer tasks than workers; at most two tasks per worker in
         # flight, so the parent holds few futures however long the range.
-        per = max(1, min(_TASK_M // job.chunk, len(pending) // workers))
-        tasks = [pending[k:k + per] for k in range(0, len(pending), per)]
-        size = min(workers, len(tasks))
+        per = max(1, min(_TASK_M // job.chunk, npending // workers))
+        size = min(workers, npending)
+        # Tasks of `per` consecutive pending chunks, cut as they are sent.
+        queued = iter(lambda: list(itertools.islice(pending, per)), [])
         executor = ProcessPoolExecutor(max_workers=size,
                                        initializer=_ignore_sigint)
         try:
             running: dict = {}
-            queued = iter(tasks)
             while True:
                 for task in itertools.islice(queued, 2 * size - len(running)):
                     spans = [bounds(i) for i in task]

@@ -149,6 +149,20 @@ class TestSolveLinearSystem:
         assert sol is not None
         assert all(v >= 0 for v in (sol.x, sol.y, sol.z, sol.t))
 
+    def test_naturalize(self):
+        q = SystemQuadruple(2, 2, 3, 0)
+        # t has a zero coefficient, so its sign is free and it is flipped.
+        assert solver._naturalize(RestrictedSolution(1, 2, 0, -3, 6), q) \
+            == RestrictedSolution(1, 2, 0, 3, 6)
+        assert solver._naturalize(RestrictedSolution(1, 2, 0, 3, 6), q) \
+            == RestrictedSolution(1, 2, 0, 3, 6)
+        # A negative coordinate with a nonzero coefficient cannot be.
+        for i in range(3):
+            coords = [1, 2, 1, 3]
+            coords[i] = -coords[i]
+            sol = RestrictedSolution(*coords, q.linear_form(*coords))
+            assert solver._naturalize(sol, q) is None, coords
+
 
 def three_square_below(lm, n):
     """The largest n' <= n with l*m - n'**2 a sum of three squares."""
@@ -375,15 +389,49 @@ class TestTwoSquarePrefilter:
                 assert not solver._two_square_possible(r), r
                 assert not solver._two_square_possible(r << 40), r
 
+    def test_gate_passes_sums_of_two_squares(self):
+        gate = solver._two_square_gate
+        for b in range(isqrt(2 * 10**5) + 1):
+            for c in range(min(b, isqrt(2 * 10**5 - 1 - b * b)) + 1):
+                assert gate(b * b + c * c), (b, c)
+
+    def test_gate_rejects_odd_powers(self):
+        gate = solver._two_square_gate
+        for p, q in ((59, 67), (4091, 4093)):
+            assert not gate(p * q)
+            assert gate((p * q) ** 2)
+            assert not gate(p ** 3 * q ** 2)
+            assert gate(p ** 4 * q ** 2 * 5)
+        # Primes at most 47 are `_two_square_possible`'s; 4099 is past 4096.
+        assert gate(3 * 47 * 4099)
+
+    def test_gate_matches_trial_division(self):
+        primes = [p for p in range(51, 4096, 4)
+                  if all(p % d for d in range(3, isqrt(p) + 1, 2))]
+        rng = random.Random(15)
+        for _ in range(2000):
+            r = 1
+            for _ in range(rng.randrange(4)):
+                r *= rng.choice(primes) ** rng.randrange(1, 4)
+            r *= rng.randrange(1, 10**6)
+            odd = False
+            for p in primes:
+                e = 0
+                while r % p ** (e + 1) == 0:
+                    e += 1
+                odd = odd or e % 2 == 1
+            assert solver._two_square_gate(r) == (not odd), r
+
     def test_enumeration_unchanged(self, monkeypatch):
-        prefilter = solver._two_square_possible
         rejected = []
 
-        def counting(rem):
-            ok = prefilter(rem)
-            if not ok:
-                rejected.append(rem)
-            return ok
+        def counting(test):
+            def wrapped(rem):
+                ok = test(rem)
+                if not ok:
+                    rejected.append((test, rem))
+                return ok
+            return wrapped
 
         def first_solutions():
             out = []
@@ -398,10 +446,13 @@ class TestTwoSquarePrefilter:
                             solver._descent_solutions(m, n, quad), 300)))
             return out
 
-        monkeypatch.setattr(solver, "_two_square_possible", counting)
+        prefilter, gate = solver._two_square_possible, solver._two_square_gate
+        monkeypatch.setattr(solver, "_two_square_possible", counting(prefilter))
+        monkeypatch.setattr(solver, "_two_square_gate", counting(gate))
         filtered = first_solutions()
-        assert rejected
+        assert {test for test, _ in rejected} == {prefilter, gate}
         monkeypatch.setattr(solver, "_two_square_possible", lambda rem: True)
+        monkeypatch.setattr(solver, "_two_square_gate", lambda rem: True)
         assert first_solutions() == filtered
 
 
@@ -731,15 +782,17 @@ class TestBruteForceOracle:
             for name in names:
                 assert name.split(".")[0] in allowed, name
 
+    @staticmethod
+    def member(n, ts):
+        if ts is TargetSet.POW2:
+            return n > 0 and n & (n - 1) == 0
+        k = 2 if ts is TargetSet.SQUARES else 3
+        return n >= 0 and any(r**k == n for r in range(n + 1))
+
     def test_matches_definition(self):
         # Smallest value in the set, then the lexicographically least tuple,
         # over a plain loop on [-s, s]**4 (product order is lexicographic).
-        def member(n, ts):
-            if ts is TargetSet.POW2:
-                return n > 0 and n & (n - 1) == 0
-            k = 2 if ts is TargetSet.SQUARES else 3
-            return n >= 0 and any(r**k == n for r in range(n + 1))
-
+        member = self.member
         for m in range(41):
             s = isqrt(m)
             tuples = [v for v in itertools.product(range(-s, s + 1), repeat=4)
@@ -755,6 +808,28 @@ class TestBruteForceOracle:
                         want = RestrictedSolution(*v, n)
                     assert brute_force_oracle(m, quad, ts) == want, \
                         (m, tuple(quad), ts)
+
+    def test_matches_plain_minimum(self):
+        # The same rule over the oracle's own rows, at m the benchmark uses.
+        for m in (1000, 1387, 1536, 2000):
+            rows = [tuple(r) for r in oracle.norm_tuples(m).tolist()]
+            for quad in NINE_QUADRUPLES:
+                values = [sum(a * c for a, c in zip(quad, v)) for v in rows]
+                for ts in TargetSet:
+                    in_set = {n for n in set(values) if self.member(n, ts)}
+                    hits = [(n, v) for n, v in zip(values, rows) if n in in_set]
+                    want = None
+                    if hits:
+                        n, v = min(hits)
+                        want = RestrictedSolution(*v, n)
+                    assert brute_force_oracle(m, quad, ts) == want, \
+                        (m, tuple(quad), ts)
+
+    def test_row_count_is_jacobi(self):
+        # r4(m) = 8 * (sum of the divisors d of m with 4 not dividing d).
+        for m in itertools.chain(range(1, 200), range(200, 3001, 37), (2048, 2999)):
+            r4 = 8 * sum(d for d in range(1, m + 1) if m % d == 0 and d % 4)
+            assert len(oracle.norm_tuples(m)) == r4, m
 
     def test_agrees_with_solver_on_sample(self):
         for m in range(151):

@@ -322,10 +322,10 @@ class TestParentMemory:
     have any, not the per-m codes, unless CSV output asks for them."""
 
     @staticmethod
-    def peak(job, **kwargs):
+    def peak(job, workers=1, **kwargs):
         tracemalloc.start()
         try:
-            report = verify_theorem(job, workers=1, **kwargs)
+            report = verify_theorem(job, workers=workers, **kwargs)
             return report, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -348,6 +348,31 @@ class TestParentMemory:
                                                      chunk=2**14),
                                      include_codes=True)
         assert report["codes"] == "V" * 10**6 and csv_peak > 10**6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pending_chunks_are_not_listed(self, monkeypatch, workers):
+        # At chunk 1, a list of every pending chunk (or of every pool task)
+        # costs about 40 bytes per m: 2 MB more at 6*10**4 m than at 10**4.
+        monkeypatch.setattr(verifier, "_run_chunk", _all_verified)
+        peaks = []
+        for hi in (10**4, 6 * 10**4):
+            report, peak = self.peak(VerificationJob("1.3", 0, hi, chunk=1),
+                                     workers=workers)
+            assert report["verified"] == hi
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 500_000, peaks
+
+    def test_failures_held_only_while_reportable(self, monkeypatch):
+        # Every m fails; only the first _FAILURE_CAP failures by m can be
+        # reported, so the failures of later chunks must not be kept.
+        monkeypatch.setattr(verifier, "_run_chunk", _all_failed)
+        peaks = []
+        for hi in (5 * 10**4, 2 * 10**5):
+            report, peak = self.peak(VerificationJob("1.1", 0, hi, chunk=1024))
+            assert report["failed"] == hi
+            assert [f["m"] for f in report["failures"]] == list(range(100))
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 500_000, peaks
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failures_in_m_order(self, monkeypatch, workers):
