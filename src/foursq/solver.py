@@ -458,10 +458,11 @@ def _primes_below(n: int) -> list[int]:
     return [p for p in range(n) if sieve[p]]
 
 
-# The product of the primes p = 3 (mod 4) in (47, 4096): those that
-# `_two_square_possible` does not test.  Worth one gcd only before a vector
-# scan; for a scalar scan the gcd costs more than the scan.
-_GATE_PRODUCT = prod(p for p in _primes_below(4096) if p % 4 == 3 and p > 47)
+# The product of the primes p = 3 (mod 4) in (47, 1024): those that
+# `_two_square_possible` does not test.  One gcd with it takes about 0.5 us
+# at rem near 1e6 and 0.8 us near 1e13.  Primes up to 4096 take 1.0 and
+# 2.4 us and skip 15% more B-scans near 1e12 but none more near 1e5.
+_GATE_PRODUCT = prod(p for p in _primes_below(1024) if p % 4 == 3 and p > 47)
 
 
 def _two_square_gate(rem: int) -> bool:
@@ -547,9 +548,8 @@ def _descent_solutions(m: int, n: int,
     signed permutations are visited in variant order (permutations of
     (A,B,C) lexicographically, then signs with + before -).  Long B-scans
     run in numpy; the order is the same either way.  An A whose remainder
-    is not a sum of two squares has no hit, so its scan is skipped: every
-    scan after the tests of `_two_square_possible`, a vector scan also
-    after `_two_square_gate`.
+    is not a sum of two squares has no hit, so its scan is skipped after
+    the tests of `_two_square_possible` and `_two_square_gate`.
     """
     a, b, c, d = quad
     l = quad.l
@@ -562,16 +562,13 @@ def _descent_solutions(m: int, n: int,
     while A >= 0 and 3 * A * A >= big_r:
         rem = big_r - A * A
         bres = planes[A % l]
-        if bres and _two_square_possible(rem):
+        if bres and _two_square_possible(rem) and _two_square_gate(rem):
             bhi = min(A, isqrt(rem))
             blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
             vector = ((bhi - blo) // l * len(bres) >= _VECTOR_MIN_PROBES
                       and rem < _VECTOR_MAX_REM)
-            if vector and not _two_square_gate(rem):
-                hits = []
-            else:
-                scan = _scan_b_vector if vector else _scan_b_scalar
-                hits = scan(rem, bhi, blo, l, bres, (A % l) * ll, mask)
+            scan = _scan_b_vector if vector else _scan_b_scalar
+            hits = scan(rem, bhi, blo, l, bres, (A % l) * ll, mask)
             if len(hits) > 1:
                 hits.sort(key=lambda h: -h[0])
             for B, C, mk in hits:

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arith import iroot, is_three_square
 from .lipschitz import INT64_MAX, ArithmeticRangeError
@@ -276,17 +276,20 @@ def _tally(rec: dict, keep_codes: bool) -> tuple:
 
 
 def _load_checkpoint(path: str, job: VerificationJob,
-                     keep_codes: bool = False) -> dict[int, tuple]:
-    """Finished chunks from the journal at ``path``, each reduced by
-    `_tally` as its line is read; none if the file is missing.
+                     keep_codes: bool = False,
+                     absorb: Callable[[int, tuple], None] = lambda i, t: None
+                     ) -> set[int]:
+    """Numbers of the chunks finished in the journal at ``path``; none if
+    the file is missing.  Each chunk's record, reduced by `_tally`, goes to
+    ``absorb`` as its line is read, so no record outlives its line.
 
     A torn last line is truncated away, so its chunk (or this job's header)
     is redone; a complete line that fails its parse or digest is an error.
     """
     if not os.path.exists(path):
-        return {}
+        return set()
     key = _job_key(job)
-    done: dict[int, tuple] = {}
+    done: set[int] = set()
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         first = fh.readline()
@@ -307,8 +310,9 @@ def _load_checkpoint(path: str, job: VerificationJob,
                         ok = obj["sha256"] == _digest(
                             {"job": header, "chunk": obj["chunk"],
                              "rec": obj["rec"]})
-                        if ok and header == key:
-                            done[obj["chunk"]] = _tally(obj["rec"], keep_codes)
+                        if ok and header == key and obj["chunk"] not in done:
+                            done.add(obj["chunk"])
+                            absorb(obj["chunk"], _tally(obj["rec"], keep_codes))
                     if not ok:
                         break
                     intact += len(line)
@@ -378,13 +382,11 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         if chunk_codes is not None:
             codes[i] = chunk_codes
 
-    loaded = (_load_checkpoint(job.checkpoint, job, include_codes)
-              if job.checkpoint else {})
+    loaded = (_load_checkpoint(job.checkpoint, job, include_codes, absorb)
+              if job.checkpoint else set())
     # Lazy, so the parent holds no list of every chunk number.
     pending = (i for i in range(nchunks) if i not in loaded)
     npending = nchunks - len(loaded)
-    for i, tally in loaded.items():
-        absorb(i, tally)
 
     def bounds(i: int) -> tuple[int, int]:
         start = job.lo + i * job.chunk

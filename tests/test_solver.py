@@ -397,16 +397,16 @@ class TestTwoSquarePrefilter:
 
     def test_gate_rejects_odd_powers(self):
         gate = solver._two_square_gate
-        for p, q in ((59, 67), (4091, 4093)):
+        for p, q in ((59, 67), (991, 1019)):
             assert not gate(p * q)
             assert gate((p * q) ** 2)
             assert not gate(p ** 3 * q ** 2)
             assert gate(p ** 4 * q ** 2 * 5)
-        # Primes at most 47 are `_two_square_possible`'s; 4099 is past 4096.
-        assert gate(3 * 47 * 4099)
+        # Primes at most 47 are `_two_square_possible`'s; 1031 is past 1024.
+        assert gate(3 * 47 * 1031)
 
     def test_gate_matches_trial_division(self):
-        primes = [p for p in range(51, 4096, 4)
+        primes = [p for p in range(51, 1024, 4)
                   if all(p % d for d in range(3, isqrt(p) + 1, 2))]
         rng = random.Random(15)
         for _ in range(2000):

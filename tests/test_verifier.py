@@ -362,17 +362,24 @@ class TestParentMemory:
             peaks.append(peak)
         assert peaks[1] - peaks[0] < 500_000, peaks
 
-    def test_failures_held_only_while_reportable(self, monkeypatch):
+    def test_failures_held_only_while_reportable(self, monkeypatch, tmp_path):
         # Every m fails; only the first _FAILURE_CAP failures by m can be
-        # reported, so the failures of later chunks must not be kept.
+        # reported, so the failures of later chunks must not be kept,
+        # whether they are computed or read back from a journal.
         monkeypatch.setattr(verifier, "_run_chunk", _all_failed)
         peaks = []
-        for hi in (5 * 10**4, 2 * 10**5):
-            report, peak = self.peak(VerificationJob("1.1", 0, hi, chunk=1024))
-            assert report["failed"] == hi
-            assert [f["m"] for f in report["failures"]] == list(range(100))
-            peaks.append(peak)
-        assert peaks[1] - peaks[0] < 500_000, peaks
+        for hi in (2 * 10**4, 8 * 10**4):
+            job = VerificationJob("1.1", 0, hi, chunk=1024,
+                                  checkpoint=str(tmp_path / f"{hi}.jsonl"))
+            fresh, fresh_peak = self.peak(job)
+            resumed, resumed_peak = self.peak(job)
+            assert canonical_report_bytes(fresh) == \
+                canonical_report_bytes(resumed)
+            assert fresh["failed"] == hi
+            assert [f["m"] for f in fresh["failures"]] == list(range(100))
+            peaks.append((fresh_peak, resumed_peak))
+        for small, big in zip(*peaks):
+            assert big - small < 500_000, peaks
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failures_in_m_order(self, monkeypatch, workers):
