@@ -420,68 +420,37 @@ def _normalize_to(raw: tuple[int, int, int, int], coeffs: Quaternion,
 # Direct descent
 # --------------------------------------------------------------------------
 
-# The primes p = 3 (mod 4) below 50.  On 1.1 near 1e12 the odd-part test
-# alone skips 48% of the A that reach a B-scan, adding these primes 71%,
-# and every such prime up to 107 or 199 only 74% or 75%: each added prime
-# costs a division on every A and removes fewer scans.
-_TWO_SQUARE_PRIMES = (3, 7, 11, 19, 23, 31, 43, 47)
+# The product of the primes p = 3 (mod 4) below 1024.  The test below takes
+# about 0.5 us per A on verify runs near 1e5 and 1e12; primes up to 4096
+# cost 1.0 to 2.4 us per gcd and skip 15% more B-scans near 1e12 but none
+# more near 1e5.
+_TWO_SQUARE_PRODUCT = prod(p for p in range(3, 1024, 4)
+                           if all(p % d for d in range(3, isqrt(p) + 1, 2)))
 
 
 def _two_square_possible(rem: int) -> bool:
     """False only when rem is certainly not B**2 + C**2.
 
     By Fermat, rem > 0 is a sum of two squares iff no prime p = 3 (mod 4)
-    divides it to an odd power; only a few such primes are tested.
+    divides it to an odd power.  The odd part is tested mod 4, then against
+    the primes of _TWO_SQUARE_PRODUCT: g holds the shared primes not yet
+    resolved, each still dividing odd.  Dividing by g once and then by the
+    primes still shared removes two from each exponent; a prime of g that
+    divided rem only once has an odd exponent.
     """
     if rem == 0:
         return True
     odd = rem >> ((rem & -rem).bit_length() - 1)
     if odd & 3 == 3:
         return False
-    for p in _TWO_SQUARE_PRIMES:
-        odd_power = False
-        while odd % p == 0:
-            odd //= p
-            odd_power = not odd_power
-        if odd_power:
-            return False
-    return True
-
-
-def _primes_below(n: int) -> list[int]:
-    """The primes p < n, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(n - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
-    return [p for p in range(n) if sieve[p]]
-
-
-# The product of the primes p = 3 (mod 4) in (47, 1024): those that
-# `_two_square_possible` does not test.  One gcd with it takes about 0.5 us
-# at rem near 1e6 and 0.8 us near 1e13.  Primes up to 4096 take 1.0 and
-# 2.4 us and skip 15% more B-scans near 1e12 but none more near 1e5.
-_GATE_PRODUCT = prod(p for p in _primes_below(1024) if p % 4 == 3 and p > 47)
-
-
-def _two_square_gate(rem: int) -> bool:
-    """False only when a prime factor of _GATE_PRODUCT divides rem to an
-    odd power, so that rem is not B**2 + C**2 (Fermat).
-
-    g holds the shared primes not yet resolved, each still dividing rem.
-    Dividing by g once and then by the primes still shared removes two
-    from each exponent; a prime of g that divided rem only once has an odd
-    exponent.  Only gcds are taken; no prime is divided out by name.
-    """
-    g = gcd(rem, _GATE_PRODUCT) if rem else 1
+    g = gcd(odd, _TWO_SQUARE_PRODUCT)
     while g > 1:
-        rem //= g
-        h = gcd(rem, g)
+        odd //= g
+        h = gcd(odd, g)
         if h != g:
             return False
-        rem //= h
-        g = gcd(rem, h)
+        odd //= h
+        g = gcd(odd, h)
     return True
 
 
@@ -548,8 +517,8 @@ def _descent_solutions(m: int, n: int,
     signed permutations are visited in variant order (permutations of
     (A,B,C) lexicographically, then signs with + before -).  Long B-scans
     run in numpy; the order is the same either way.  An A whose remainder
-    is not a sum of two squares has no hit, so its scan is skipped after
-    the tests of `_two_square_possible` and `_two_square_gate`.
+    is not a sum of two squares has no hit, so `_two_square_possible`
+    skips its scan.
     """
     a, b, c, d = quad
     l = quad.l
@@ -562,7 +531,7 @@ def _descent_solutions(m: int, n: int,
     while A >= 0 and 3 * A * A >= big_r:
         rem = big_r - A * A
         bres = planes[A % l]
-        if bres and _two_square_possible(rem) and _two_square_gate(rem):
+        if bres and _two_square_possible(rem):
             bhi = min(A, isqrt(rem))
             blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
             vector = ((bhi - blo) // l * len(bres) >= _VECTOR_MIN_PROBES

@@ -267,21 +267,12 @@ def _save_checkpoint(path: str, job: VerificationJob,
         os.fsync(fh.fileno())
 
 
-def _tally(rec: dict, keep_codes: bool) -> tuple:
-    """A chunk record reduced to what the report needs: its V, R and F
-    counts, its failures and its per-m codes, or None unless ``keep_codes``."""
-    codes = rec["codes"]
-    return (codes.count("V"), codes.count("R"), codes.count("F"),
-            rec["failures"], codes if keep_codes else None)
-
-
 def _load_checkpoint(path: str, job: VerificationJob,
-                     keep_codes: bool = False,
-                     absorb: Callable[[int, tuple], None] = lambda i, t: None
+                     absorb: Callable[[int, dict], None] = lambda i, rec: None
                      ) -> set[int]:
     """Numbers of the chunks finished in the journal at ``path``; none if
-    the file is missing.  Each chunk's record, reduced by `_tally`, goes to
-    ``absorb`` as its line is read, so no record outlives its line.
+    the file is missing.  Each chunk's record goes to ``absorb`` as its
+    line is read, so no record outlives its line.
 
     A torn last line is truncated away, so its chunk (or this job's header)
     is redone; a complete line that fails its parse or digest is an error.
@@ -312,7 +303,7 @@ def _load_checkpoint(path: str, job: VerificationJob,
                              "rec": obj["rec"]})
                         if ok and header == key and obj["chunk"] not in done:
                             done.add(obj["chunk"])
-                            absorb(obj["chunk"], _tally(obj["rec"], keep_codes))
+                            absorb(obj["chunk"], obj["rec"])
                     if not ok:
                         break
                     intact += len(line)
@@ -364,11 +355,11 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     codes: dict[int, str] = {}
     completed = 0
 
-    def absorb(i: int, tally: tuple) -> None:
-        v, r, f, fails, chunk_codes = tally
-        counts[0] += v
-        counts[1] += r
-        counts[2] += f
+    def absorb(i: int, rec: dict) -> None:
+        chunk_codes, fails = rec["codes"], rec["failures"]
+        counts[0] += chunk_codes.count("V")
+        counts[1] += chunk_codes.count("R")
+        counts[2] += chunk_codes.count("F")
         if fails:
             failures[i] = fails
             # Chunks past the first _FAILURE_CAP failures in m order can
@@ -379,10 +370,10 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
                     del failures[j]
                 else:
                     held += len(failures[j])
-        if chunk_codes is not None:
+        if include_codes:
             codes[i] = chunk_codes
 
-    loaded = (_load_checkpoint(job.checkpoint, job, include_codes, absorb)
+    loaded = (_load_checkpoint(job.checkpoint, job, absorb)
               if job.checkpoint else set())
     # Lazy, so the parent holds no list of every chunk number.
     pending = (i for i in range(nchunks) if i not in loaded)
@@ -397,7 +388,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         if job.checkpoint:
             _save_checkpoint(job.checkpoint, job, recs)
         for i, rec in recs.items():
-            absorb(i, _tally(rec, include_codes))
+            absorb(i, rec)
         completed += len(recs)
         # Pool tasks record several chunks at once, so the hook fires at
         # the first record that brings the count to at least N.

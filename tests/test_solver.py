@@ -390,23 +390,25 @@ class TestTwoSquarePrefilter:
                 assert not solver._two_square_possible(r << 40), r
 
     def test_gate_passes_sums_of_two_squares(self):
-        gate = solver._two_square_gate
+        gate = solver._two_square_possible
         for b in range(isqrt(2 * 10**5) + 1):
             for c in range(min(b, isqrt(2 * 10**5 - 1 - b * b)) + 1):
                 assert gate(b * b + c * c), (b, c)
 
     def test_gate_rejects_odd_powers(self):
-        gate = solver._two_square_gate
+        gate = solver._two_square_possible
         for p, q in ((59, 67), (991, 1019)):
             assert not gate(p * q)
             assert gate((p * q) ** 2)
             assert not gate(p ** 3 * q ** 2)
             assert gate(p ** 4 * q ** 2 * 5)
-        # Primes at most 47 are `_two_square_possible`'s; 1031 is past 1024.
-        assert gate(3 * 47 * 1031)
+        # 3 and 7 to odd powers; 1031 and 1039 are past 1024, and their
+        # product is 1 mod 4.
+        assert not gate(21)
+        assert gate(1031 * 1039)
 
     def test_gate_matches_trial_division(self):
-        primes = [p for p in range(51, 1024, 4)
+        primes = [p for p in range(3, 1024, 4)
                   if all(p % d for d in range(3, isqrt(p) + 1, 2))]
         rng = random.Random(15)
         for _ in range(2000):
@@ -414,24 +416,23 @@ class TestTwoSquarePrefilter:
             for _ in range(rng.randrange(4)):
                 r *= rng.choice(primes) ** rng.randrange(1, 4)
             r *= rng.randrange(1, 10**6)
-            odd = False
+            odd = (r >> ord2(r)) % 4 == 3
             for p in primes:
                 e = 0
                 while r % p ** (e + 1) == 0:
                     e += 1
                 odd = odd or e % 2 == 1
-            assert solver._two_square_gate(r) == (not odd), r
+            assert solver._two_square_possible(r) == (not odd), r
 
     def test_enumeration_unchanged(self, monkeypatch):
         rejected = []
+        prefilter = solver._two_square_possible
 
-        def counting(test):
-            def wrapped(rem):
-                ok = test(rem)
-                if not ok:
-                    rejected.append((test, rem))
-                return ok
-            return wrapped
+        def counting(rem):
+            ok = prefilter(rem)
+            if not ok:
+                rejected.append(rem)
+            return ok
 
         def first_solutions():
             out = []
@@ -446,13 +447,10 @@ class TestTwoSquarePrefilter:
                             solver._descent_solutions(m, n, quad), 300)))
             return out
 
-        prefilter, gate = solver._two_square_possible, solver._two_square_gate
-        monkeypatch.setattr(solver, "_two_square_possible", counting(prefilter))
-        monkeypatch.setattr(solver, "_two_square_gate", counting(gate))
+        monkeypatch.setattr(solver, "_two_square_possible", counting)
         filtered = first_solutions()
-        assert {test for test, _ in rejected} == {prefilter, gate}
+        assert rejected
         monkeypatch.setattr(solver, "_two_square_possible", lambda rem: True)
-        monkeypatch.setattr(solver, "_two_square_gate", lambda rem: True)
         assert first_solutions() == filtered
 
 
@@ -711,9 +709,9 @@ class TestSolveRestricted:
     }
 
     @staticmethod
-    def plain_outcome(m, quad, ts):
+    def outcome(m, quad, ts, natural=False):
         try:
-            return tuple(solve_restricted(m, quad, ts))
+            return tuple(solve_restricted(m, quad, ts, natural=natural))
         except NoSolutionError as exc:
             return (str(exc), exc.tried)
 
@@ -721,7 +719,7 @@ class TestSolveRestricted:
         # test_matches_reference_enumeration stops at m <= 40; this pins
         # the solutions found at three larger scales.
         outcomes = {
-            scale: [self.plain_outcome(scale + i, quad, ts) for i in range(20)
+            scale: [self.outcome(scale + i, quad, ts) for i in range(20)
                     for quad in NINE_QUADRUPLES for ts in TargetSet]
             for scale in self.PINNED_DIGESTS
         }
@@ -731,6 +729,16 @@ class TestSolveRestricted:
         for scale, digest in self.PINNED_DIGESTS.items():
             got = hashlib.sha256(repr(outcomes[scale]).encode()).hexdigest()
             assert got == digest, scale
+
+    def test_natural_outcomes_pinned(self):
+        # Natural solves run the same descent; this pins their solutions
+        # and their failures (660 of the 5,400) on m in [1000, 1200).
+        outcomes = [self.outcome(m, quad, ts, natural=True)
+                    for m in range(1000, 1200)
+                    for quad in NINE_QUADRUPLES for ts in TargetSet]
+        assert sum(isinstance(o[0], str) for o in outcomes) == 660
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+            "27f608cdd51ac1df1ad4ee6645b3fad1e2d1790a3c96ef4f18139ea48ab4cc1d")
 
     def test_range_contract(self):
         big = INT64_MAX + 1

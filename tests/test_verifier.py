@@ -311,10 +311,11 @@ def _all_verified(theorem, start, end):
 
 
 def _all_failed(theorem, start, end):
-    """Stands in for `_run_chunk`: every m fails, each with one failure."""
+    """Stands in for `_run_chunk`: every m fails, each with one failure,
+    and like `_run_chunk` a chunk lists at most _FAILURE_CAP of them."""
     return {"codes": "F" * (end - start),
             "failures": [{"m": m, "quad": [1, 1, 2, 2], "trace": "stub"}
-                         for m in range(start, end)]}
+                         for m in range(start, end)][:verifier._FAILURE_CAP]}
 
 
 class TestParentMemory:
