@@ -572,6 +572,61 @@ def _naturalize(sol: RestrictedSolution,
     return RestrictedSolution(x, y, z, t, n)
 
 
+# The coordinate positions of each supported quadruple by descending
+# coefficient, ties in index order.  Only the last can have coefficient 0.
+_BOX_ORDER = {q: tuple(sorted(range(4), key=lambda i: -q[i]))
+              for q in NINE_QUADRUPLES}
+
+
+def _natural_box(m: int, n: int,
+                 quad: SystemQuadruple) -> Optional[RestrictedSolution]:
+    """The natural solution at n that the descent meets first, or None.
+
+    Found by walking the natural box instead of the descent: the two
+    coordinates with the largest coefficients ci >= cj run over
+    [0, n // ci] and [0, n // cj], and the other two are solved exactly
+    from one square root of the discriminant (ck**2 + ch**2) * m' - n'**2;
+    when ch = 0 its coordinate is free, and both signs are kept.  The
+    descent meets a solution at the canonical triple of imag(gamma*beta),
+    gamma = x - yi - zj - tk, and the least variant that gives it; the
+    greatest triple, then the least variant, comes first.
+    """
+    i, j, k, h = _BOX_ORDER[quad]
+    ci, cj, ck, ch = quad[i], quad[j], quad[k], quad[h]
+    s2 = ck * ck + ch * ch
+    found = []
+    for xi in range(min(isqrt(m), n // ci) + 1):
+        mi = m - xi * xi
+        ni = n - ci * xi
+        for xj in range(min(isqrt(mi), ni // cj) + 1):
+            m2 = mi - xj * xj
+            n2 = ni - cj * xj
+            disc = s2 * m2 - n2 * n2
+            if disc < 0:
+                continue
+            s = isqrt(disc)
+            if s * s != disc:
+                continue
+            for p, q in ((ck * n2 + ch * s, ch * n2 - ck * s),
+                         (ck * n2 - ch * s, ch * n2 + ck * s)):
+                if p >= 0 and (q >= 0 or not ch) and not (p % s2 or q % s2):
+                    coords = [0, 0, 0, 0]
+                    coords[i], coords[j] = xi, xj
+                    coords[k], coords[h] = p // s2, q // s2
+                    found.append(coords)
+    if not found:
+        return None
+
+    def position(coords: list[int]) -> tuple[tuple[int, ...], int]:
+        x, y, z, t = coords
+        signed = mul(Quaternion(x, -y, -z, -t), quad.beta())[1:]
+        canon = tuple(sorted(map(abs, signed), reverse=True))
+        return canon, -next(v for v in range(48) if
+                            _residues.signed_permutation(canon, v) == signed)
+
+    return _naturalize(RestrictedSolution(*max(found, key=position), n), quad)
+
+
 def _check_m(m: int, name: str = "m") -> None:
     """The range contract of every solver entry point: 0 <= m <= INT64_MAX."""
     if m < 0:
@@ -586,18 +641,30 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
 
     Returns None when no solution exists at this value n.  With
     natural=True, only solutions with all coordinates nonnegative are
-    accepted (coordinates at zero coefficients may be freely flipped).
+    accepted (coordinates at zero coefficients may be freely flipped), and
+    the first of them is found in the natural box when that is small.
     """
     q = _as_quad(quad)
     _check_m(m)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n * n > q.l * m:
-        raise ValueError(f"n**2 = {n * n} exceeds l*m = {q.l * m}")
-    # With every coefficient positive a natural solution has
-    # n >= min(q) * (x+y+z+t) >= min(q) * sqrt(m), so none exists below.
-    if natural and min(q) > 0 and n * n < min(q) ** 2 * m:
-        return None
+    l = q.l
+    if n * n > l * m:
+        raise ValueError(f"n**2 = {n * n} exceeds l*m = {l * m}")
+    if natural:
+        # With every coefficient positive a natural solution has
+        # n >= min(q) * (x+y+z+t) >= min(q) * sqrt(m), so none exists below.
+        if min(q) > 0 and n * n < min(q) ** 2 * m:
+            return None
+        # Walk the natural box when it has no more cells than the descent
+        # has A values to visit, about sqrt(l*m - n**2).
+        order = _BOX_ORDER.get(q)
+        if order and ((n // q[order[0]] + 1) * (n // q[order[1]] + 1)
+                      <= isqrt(l * m - n * n)):
+            nat = _natural_box(m, n, q)
+            if nat is not None:
+                _validate(nat, m, q)
+            return nat
     for sol in _descent_solutions(m, n, q):
         if not natural:
             _validate(sol, m, q)
@@ -707,7 +774,8 @@ def solve_restricted(m: int, quad: Sequence[int],
     With natural=True the n values are walked in descending order instead:
     natural solutions need the linear form close to its maximum, where the
     per-n enumeration is small, whereas proving that a small n admits no
-    natural solution means exhausting an enormous enumeration.
+    natural solution means exhausting an enormous enumeration, unless
+    `_natural_box` can walk it.
     """
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)

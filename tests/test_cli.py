@@ -311,8 +311,10 @@ def test_missing_subcommand_is_usage_error():
 
 
 # The argv grammar of every command that the range contract and the work
-# bounds keep fast.  `solve --natural` and `solve --n` are left out until
-# their latency is bounded: (2,2,3,0)/pow2 takes seconds near 10**9.
+# bounds keep fast.  `solve --natural` and `solve --n` are left out: the
+# natural box decides (2,2,3,0)/pow2 at once, but (1,1,2,5)/pow2 at
+# m = 2**63 - 1 runs past a minute, and (1,2,2,2)/pow2 near 10**12 needs
+# seconds until the descent is pruned to the natural cone.
 _INTS = [str(v) for v in (-1, 0, 1, 2**63 - 1, 2**63, 10**30)]
 _MALFORMED = ["x", "1.5", ""]
 _INT = st.sampled_from(_INTS + _MALFORMED)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import signal
 import sys
 import time
 from math import isqrt
@@ -162,6 +163,51 @@ class TestSolveLinearSystem:
             coords[i] = -coords[i]
             sol = RestrictedSolution(*coords, q.linear_form(*coords))
             assert solver._naturalize(sol, q) is None, coords
+
+
+def descent_natural(m, n, quad):
+    """The first naturalized solution of the descent at n, or None."""
+    for sol in solver._descent_solutions(m, n, quad):
+        nat = solver._naturalize(sol, quad)
+        if nat is not None:
+            return nat
+    return None
+
+
+def natural_reference(m, n, quad):
+    """Every natural solution at n, naturalized, in reference order."""
+    sols = (solver._naturalize(RestrictedSolution(*s), quad)
+            for s in reference_solutions(m, n, quad))
+    return list(dict.fromkeys(s for s in sols if s is not None))
+
+
+class TestNaturalBox:
+    def test_matches_descent(self):
+        # Every n with n**2 <= l*m, box or not: 28,046 cases.
+        for m in range(100):
+            for quad in NINE_QUADRUPLES:
+                for n in range(isqrt(quad.l * m) + 1):
+                    assert solver._natural_box(m, n, quad) == \
+                        descent_natural(m, n, quad), (m, n, quad)
+
+    def test_first_in_descent_order(self):
+        # Six natural solutions; the descent meets (0, 1, 2, 0) first,
+        # neither the least nor the greatest of them.
+        q = SystemQuadruple(1, 2, 2, 2)
+        nats = natural_reference(5, 6, q)
+        assert len(nats) == 6 and nats[0] not in (min(nats), max(nats))
+        assert solver._natural_box(5, 6, q) == nats[0] == (0, 1, 2, 0, 6)
+
+    def test_free_coordinate_sign(self):
+        # t has coefficient 0: (2, 1, 0, -2) and (2, 1, 0, 2) both solve,
+        # and the descent meets the negative one first, which it flips.
+        q = SystemQuadruple(2, 2, 3, 0)
+        first = next(s for s in reference_solutions(9, 6, q)
+                     if solver._naturalize(RestrictedSolution(*s), q))
+        assert first == (2, 1, 0, -2, 6)
+        assert (2, 1, 0, 2, 6) in reference_solutions(9, 6, q)
+        assert len(natural_reference(9, 6, q)) == 4
+        assert solver._natural_box(9, 6, q) == (2, 1, 0, 2, 6)
 
 
 def three_square_below(lm, n):
@@ -699,6 +745,24 @@ class TestSolveRestricted:
         assert solve_linear_system(9, 2, (1, 1, 2, 4), natural=True) is None
         sol = solve_linear_system(9, 3, (1, 1, 2, 4), natural=True)
         assert sol is not None and sol.n == 3
+
+    def test_natural_box_decides_at_once(self):
+        # t has coefficient 0, so the bound above cannot apply; the natural
+        # box decides n = 2 and n = 1, where the descent took minutes for
+        # the three m together.  The alarm fails the test at 2 s.
+        def overrun(signum, frame):
+            raise AssertionError("natural solve ran past 2 s")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            for m in (10**9 - 1, 10**9 + 7, 10**12 + 7):
+                with pytest.raises(NoSolutionError) as exc:
+                    solve_restricted(m, (2, 2, 3, 0), "pow2", natural=True)
+                assert exc.value.tried == (2, 1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     # sha256 of repr(outcomes) for m = scale + i, i < 20, over the 27
     # systems, computed while the descent still scanned every A.
