@@ -12,8 +12,9 @@ classes along its enumeration order.
 The valid rho are the right multiples of beta, a lattice of index l**2 in
 Z**4, so for each n mod l exactly l signed triples mod l are valid.  One
 array pass over the l**3 triples of a quadruple finds the n each is valid
-for; each table is then built from its l triples: bit v is set on the
-class that variant v maps onto each of them.
+for and groups them by n; each table is then built, on first use, from its
+l triples: one sort of their 48 variants puts the bits of each class in one
+run.
 
 Internal module: everything here is an implementation detail of
 foursq.solver.
@@ -59,23 +60,25 @@ def mmatrix(quad: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int],
     )
 
 
-# The same variants as tables: _NEG[v, i] is True when variant v negates
-# component i, and _INV[v] is the inverse of its permutation.
+# The same variants as tables: _INV[v] inverts the permutation of variant
+# v, and the class c with signed_permutation(c, v) == t has
+# c[j] = (t, -t)[_SRC[v, j]]: t un-negated (bit 2 - i of v negates t[i]),
+# then un-permuted.
 _VARIANTS = np.arange(48, dtype=np.int64)
-_NEG = (_VARIANTS[:, None] >> np.array([2, 1, 0])) & 1 == 1
 _INV = np.argsort(np.array(PERMS), axis=1)[_VARIANTS >> 3]
+_SRC = _INV + 3 * ((_VARIANTS[:, None] >> (2 - _INV)) & 1)
 _BITS = np.int64(1) << _VARIANTS
 
 
 @lru_cache(maxsize=None)
-def _valid_n(quad: tuple[int, int, int, int], l: int) -> np.ndarray:
-    """For each packed class (A%l, B%l, C%l): the n mod l that makes
-    (n, A, B, C) valid, or -1 if none does.
+def _valid_classes(quad: tuple[int, int, int, int], l: int) -> tuple[np.ndarray, ...]:
+    """For each n mod l, the classes (A%l, B%l, C%l) that make (n, A, B, C)
+    valid, as the columns of a (3, l) array.
 
-    That n is unique: two would differ by an integer r with
-    r*conj(beta) = 0 (mod l), and gcd(a, b, c, d, l) = 1 gives l | r.  A row
-    of M whose n coefficient is a unit mod l fixes it; each quadruple the
-    solver accepts has one.
+    A class is valid for at most one n: two would differ by an integer r
+    with r*conj(beta) = 0 (mod l), and gcd(a, b, c, d, l) = 1 gives l | r.
+    A row of M whose n coefficient is a unit mod l fixes that n; each
+    quadruple the solver accepts has one.
     """
     rows = mmatrix(quad)
     unit = next(row for row in rows if gcd(row[0], l) == 1)
@@ -89,7 +92,10 @@ def _valid_n(quad: tuple[int, int, int, int], l: int) -> np.ndarray:
     valid = np.ones((l, l, l), dtype=bool)
     for row in rows:
         valid &= (row[0] * n + rest(row)) % l == 0
-    return np.where(valid, n, -1).astype(np.min_scalar_type(-l)).ravel()
+    n = n[valid]
+    order = np.argsort(n)
+    return tuple(np.split(np.stack(np.nonzero(valid))[:, order],
+                          np.searchsorted(n[order], r[1:]), axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -103,21 +109,24 @@ def masks_for(
     integral gamma).  planes[a]: sorted B-residues that can possibly hit,
     given A % l == a.  Keys, values and plane entries are Python ints.
     """
-    ll = l * l
-    t = np.flatnonzero(_valid_n(quad, l) == n_mod)
-    t = np.stack((t // ll, t // l % l, t % l))
-    # The class c with signed_permutation(c, v) == t (mod l): un-negate t,
-    # then un-permute.
-    c = np.where(_NEG[:, :, None], -t % l, t)[_VARIANTS[:, None], _INV]
-    keys = (c[:, 0] * l + c[:, 1]) * l + c[:, 2]
-    bits = np.zeros(l * ll, dtype=np.int64)
-    np.bitwise_or.at(bits, keys.ravel(), _BITS.repeat(t.shape[1]))
-    idx = np.flatnonzero(bits)
-    mask = dict(zip(idx.tolist(), bits[idx].tolist()))
-    plane_lists: list[list[int]] = [[] for _ in range(l)]
-    for ab in np.unique(idx // l).tolist():
-        plane_lists[ab // l].append(ab % l)
-    return mask, tuple(map(tuple, plane_lists))
+    if not 0 <= n_mod < l:
+        raise ValueError(f"n_mod must be in range({l}), got {n_mod}")
+    t = _valid_classes(quad, l)[n_mod]
+    # Keys c*64 + v for the class c that variant v maps onto each valid t,
+    # sorted, put each class's variants in one run.
+    c = np.concatenate((t, -t % l))[_SRC]
+    keys = np.array([l * l * 64, l * 64, 64]) @ c + _VARIANTS[:, None]
+    keys = np.sort(keys, axis=None)
+    cls = keys >> 6
+    first = np.flatnonzero(np.concatenate(([True], cls[1:] != cls[:-1])))
+    idx = cls[first]
+    bits = np.bitwise_or.reduceat(_BITS[keys & 63], first)
+    ab = idx // l  # A*l + B of the classes, ascending
+    ab = ab[np.concatenate(([True], ab[1:] != ab[:-1]))]
+    edge = np.searchsorted(ab, np.arange(l + 1) * l).tolist()
+    b = (ab % l).tolist()
+    return (dict(zip(idx.tolist(), bits.tolist())),
+            tuple(tuple(b[lo:hi]) for lo, hi in zip(edge, edge[1:])))
 
 
 @lru_cache(maxsize=None)

@@ -326,6 +326,45 @@ class TestMasks:
         assert h.hexdigest() == ("d266faed4734340fe55cb39543dfd6a9"
                                  "cae82833ae5ad140d570745abe9ed499")
 
+    @pytest.mark.parametrize("quad", [(1, 1, 2, 2), (1, 1, 1, -4), (1, 2, 3, 5)],
+                             ids=str)
+    def test_valid_classes_match_masks_for(self, quad):
+        """A fresh build of a quadruple's valid classes, grouped by n,
+        against every n's table: the variants set in the mask send its
+        classes onto exactly the l valid ones.  (1, 1, 1, -4) has a
+        negative coefficient, and (1, 2, 3, 5) has the largest l, 39."""
+        l = sum(x * x for x in quad)
+        groups = _residues._valid_classes.__wrapped__(quad, l)
+        assert len(groups) == l
+        for n, t in enumerate(groups):
+            mask, _ = _residues.masks_for(quad, l, n)
+            hit = set()
+            for idx, bits in mask.items():
+                cls = (idx // (l * l), idx // l % l, idx % l)
+                for v in range(48):
+                    if bits >> v & 1:
+                        A, B, C = _residues.signed_permutation(cls, v)
+                        hit.add((A % l * l + B % l) * l + C % l)
+            packed = (t[0] * l + t[1]) * l + t[2]
+            assert len(packed) == l and sorted(packed.tolist()) == sorted(hit), n
+
+    def test_one_build_per_quadruple(self):
+        quad, l = (1, 1, 2, 5), 31
+        _residues.masks_for.cache_clear()
+        _residues._valid_classes.cache_clear()
+        _residues.masks_for(quad, l, 7)
+        assert _residues._valid_classes.cache_info().misses == 1
+        for n in range(l):
+            _residues.masks_for(quad, l, n)
+        assert _residues._valid_classes.cache_info().misses == 1
+        assert _residues.masks_for.cache_info().misses == l
+
+    def test_n_mod_out_of_range(self):
+        # A negative n_mod would otherwise index another n's classes.
+        for n_mod in (-1, -10, 10, 11):
+            with pytest.raises(ValueError):
+                _residues.masks_for((1, 1, 2, 2), 10, n_mod)
+
     def test_entries_are_python_ints(self):
         """A numpy scalar in `planes` would turn the scalar B-scan's
         arithmetic into numpy arithmetic and change `residue_array`'s keys."""
