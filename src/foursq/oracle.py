@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-@lru_cache(maxsize=4)
+# Callers walk m outermost, so only the current m's table is kept.
+@lru_cache(maxsize=1)
 def norm_tuples(m: int) -> np.ndarray:
     """All integer 4-tuples of norm m as a read-only (k, 4) int32 array.
 

@@ -136,14 +136,21 @@ NINE_QUADRUPLES = (
     SystemQuadruple(1, 2, 3, 5),
 )
 
+# The four quadruples of the squares result (1.3) and the five of the
+# powers-of-two result (1.2), each in the order above.
+FOUR_QUADRUPLES = tuple(SystemQuadruple(*q) for q in (
+    (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 3, 0), (2, 3, 4, 0)))
+FIVE_QUADRUPLES = tuple(SystemQuadruple(*q) for q in (
+    (1, 3, 3, 0), (1, 2, 4, 0), (1, 1, 2, 4), (1, 1, 2, 5), (1, 2, 3, 5)))
+
 _SUPPORTED = frozenset(NINE_QUADRUPLES)
 
 # Residue filters: for these quadruples l*m - n**2 must avoid certain
 # classes mod 3 or mod 5, which prunes candidate values of n before any
-# enumeration; (1, 2, 3, 5) has its own test.
+# enumeration; (1, 2, 3, 5), the last of the five, has its own test.
 _FILTER_MODULUS = {
-    **dict.fromkeys([(1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 3, 0), (2, 3, 4, 0)], 3),
-    **dict.fromkeys([(1, 1, 2, 4), (1, 3, 3, 0), (1, 2, 4, 0), (1, 1, 2, 5)], 5),
+    **dict.fromkeys(FOUR_QUADRUPLES, 3),
+    **dict.fromkeys(FIVE_QUADRUPLES[:-1], 5),
 }
 
 

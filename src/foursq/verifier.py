@@ -11,6 +11,7 @@ counts and chunk sizes.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 import os
@@ -19,11 +20,14 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .arith import iroot, is_three_square
 from .lipschitz import INT64_MAX, ArithmeticRangeError
 from .solver import (
+    FIVE_QUADRUPLES,
+    FOUR_QUADRUPLES,
     NINE_QUADRUPLES,
     NoSolutionError,
     RestrictedSolution,
@@ -42,25 +46,10 @@ class _TheoremSpec(NamedTuple):
     scale: int     # coordinate scale undoing one reduction step
 
 
-_FIVE_QUADRUPLES = (
-    SystemQuadruple(1, 3, 3, 0),
-    SystemQuadruple(1, 2, 4, 0),
-    SystemQuadruple(1, 1, 2, 4),
-    SystemQuadruple(1, 1, 2, 5),
-    SystemQuadruple(1, 2, 3, 5),
-)
-
-_FOUR_QUADRUPLES = (
-    SystemQuadruple(1, 1, 2, 2),
-    SystemQuadruple(1, 2, 2, 2),
-    SystemQuadruple(2, 2, 3, 0),
-    SystemQuadruple(2, 3, 4, 0),
-)
-
 _THEOREMS = {
     "1.1": _TheoremSpec(TargetSet.CUBES, NINE_QUADRUPLES, 64, 8),
-    "1.2": _TheoremSpec(TargetSet.POW2, _FIVE_QUADRUPLES, 4, 2),
-    "1.3": _TheoremSpec(TargetSet.SQUARES, _FOUR_QUADRUPLES, 16, 4),
+    "1.2": _TheoremSpec(TargetSet.POW2, FIVE_QUADRUPLES, 4, 2),
+    "1.3": _TheoremSpec(TargetSet.SQUARES, FOUR_QUADRUPLES, 16, 4),
 }
 
 
@@ -84,20 +73,16 @@ _WINDOWS = {
 
 WINDOW_BOUNDS = {th: w.threshold for th, w in _WINDOWS.items()}
 
-THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4a", "1.4b")
+THEOREM_IDS = (*_THEOREMS, *_WINDOWS)
 
 # A report lists at most this many failures (its counts cover them all).
 _FAILURE_CAP = 100
 
 
-def _canon_theorem(theorem: str) -> str:
-    name = theorem.strip()
-    if name.startswith("T"):
-        name = name[1:].replace("_", ".")
-    if name not in THEOREM_IDS:
+def _check_theorem(theorem: str) -> None:
+    if theorem not in THEOREM_IDS:
         raise ValueError(f"unsupported theorem id {theorem!r} (expected one of "
                          f"{', '.join(THEOREM_IDS)})")
-    return name
 
 
 def reduce_m(m: int, theorem: str) -> int:
@@ -106,12 +91,12 @@ def reduce_m(m: int, theorem: str) -> int:
     The windowed statements (1.4a/1.4b) have no reduction and return m
     unchanged.
     """
-    th = _canon_theorem(theorem)
+    _check_theorem(theorem)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if th in _WINDOWS:
+    if theorem in _WINDOWS:
         return m
-    return _reduce_full(m, th)[0]
+    return _reduce_full(m, theorem)[0]
 
 
 def _reduce_full(m: int, theorem: str) -> tuple[int, int]:
@@ -217,7 +202,7 @@ class VerificationJob:
     checkpoint: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theorem", _canon_theorem(self.theorem))
+        _check_theorem(self.theorem)
         if self.lo > self.hi:
             raise ValueError("lo must not exceed hi")
         if self.lo < 0:
@@ -329,10 +314,11 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     """Run the job and return the report dict.
 
     Report: {theorem, range: [lo, hi], verified, reduced, failed,
-    failures: [{m, quad, trace}], wall_ms, per_sec}; everything except the
-    two timing fields is deterministic.  workers, a positive integer,
-    defaults to FOURSQ_THREADS or the CPU count; include_codes adds a per-m
-    outcome string (V/R/F) used for CSV output.
+    failures: [{m, quad, trace}], wall_ms, per_sec}: failures are the first
+    _FAILURE_CAP in m order, and all but the two timing fields are
+    deterministic.  workers, a positive integer, defaults to FOURSQ_THREADS
+    or the CPU count; include_codes adds a per-m outcome string (V/R/F)
+    used for CSV output.
     """
     t0 = time.monotonic()
     if workers is None:
@@ -347,11 +333,11 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     elif workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     nchunks = (job.hi - job.lo + job.chunk - 1) // job.chunk
-    # Finished chunks are held only as running V/R/F counts, the failures
-    # that can still be among the first _FAILURE_CAP in m order and, for
-    # CSV output, the per-m codes.
+    # Finished chunks are held only as running V/R/F counts, the first
+    # _FAILURE_CAP failures in m order so far and, for CSV output, the
+    # per-m codes.
     counts = [0, 0, 0]
-    failures: dict[int, list[dict]] = {}
+    failures: list[dict] = []
     codes: dict[int, str] = {}
     completed = 0
 
@@ -361,15 +347,9 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         counts[1] += chunk_codes.count("R")
         counts[2] += chunk_codes.count("F")
         if fails:
-            failures[i] = fails
-            # Chunks past the first _FAILURE_CAP failures in m order can
-            # never be reported, so at most _FAILURE_CAP chunks stay held.
-            held = 0
-            for j in sorted(failures):
-                if held >= _FAILURE_CAP:
-                    del failures[j]
-                else:
-                    held += len(failures[j])
+            # Chunks cover disjoint m ranges, each listing its failures by m.
+            merged = heapq.merge(failures, fails, key=itemgetter("m"))
+            failures[:] = list(itertools.islice(merged, _FAILURE_CAP))
         if include_codes:
             codes[i] = chunk_codes
 
@@ -423,9 +403,6 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
 
-    reported: list[dict] = []
-    for i in sorted(failures):
-        reported.extend(failures[i][: _FAILURE_CAP - len(reported)])
     wall = max(time.monotonic() - t0, 1e-9)
     report = {
         "theorem": job.theorem,
@@ -433,7 +410,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         "verified": counts[0],
         "reduced": counts[1],
         "failed": counts[2],
-        "failures": reported,
+        "failures": failures,
         "wall_ms": round(wall * 1000.0, 3),
         "per_sec": round((job.hi - job.lo) / wall, 3),
     }
@@ -463,10 +440,9 @@ def window_length_ok(m: int, theorem: str) -> bool:
     window grows monotonically with m, so True at m implies True for
     everything above m.
     """
-    th = _canon_theorem(theorem)
-    if th not in _WINDOWS:
+    if theorem not in _WINDOWS:
         raise ValueError(f"theorem {theorem!r} has no window")
-    quad, lo, need, _ = _WINDOWS[th]
+    quad, lo, need, _ = _WINDOWS[theorem]
     # Equality, (l*m)^(1/4) - (lo*m)^(1/4) = need, would make both roots
     # rational (an irrational root has a conjugate i**j times it that
     # solves the same equation), so lo*m and l*m would be fourth powers of

@@ -956,6 +956,13 @@ class TestBruteForceOracle:
                         assert check_solution(m, quad, ts, sol)
                         assert check_solution(m, quad, ts, ref)
 
+    def test_holds_one_norm_table(self):
+        # Callers walk m outermost; near the oracle's bound one table is
+        # about 261 MB, so a table for an earlier m must not stay held.
+        for m in (1000, 1001):
+            brute_force_oracle(m, NINE_QUADRUPLES[0], TargetSet.SQUARES)
+        assert oracle.norm_tuples.cache_info().currsize == 1
+
 
 class TestCheckSolution:
     def test_set_membership_is_required(self):

@@ -36,10 +36,6 @@ class TestReduceM:
         assert reduce_m(48, "1.2") == 3
         assert reduce_m(22, "1.3") == 22
 
-    def test_underscore_names_accepted(self):
-        assert reduce_m(128, "T1_1") == 2
-        assert reduce_m(0, "T1_4a") == 0
-
     def test_windowed_statements_do_not_reduce(self):
         assert reduce_m(64, "1.4a") == 64
         assert reduce_m(160, "1.4b") == 160
@@ -318,9 +314,18 @@ def _all_failed(theorem, start, end):
                          for m in range(start, end)][:verifier._FAILURE_CAP]}
 
 
+def _three_failures_per_m(theorem, start, end):
+    """Stands in for `_run_chunk`: every m fails on three quadruples."""
+    return {"codes": "F" * (end - start),
+            "failures": [{"m": m, "quad": q, "trace": "stub"}
+                         for m in range(start, end)
+                         for q in ([1, 1, 2, 2], [1, 2, 2, 2], [2, 2, 3, 0])
+                         ][:verifier._FAILURE_CAP]}
+
+
 class TestParentMemory:
-    """The parent holds running counts and the failures of chunks that
-    have any, not the per-m codes, unless CSV output asks for them."""
+    """The parent holds running counts and the first _FAILURE_CAP
+    failures, not the per-m codes, unless CSV output asks for them."""
 
     @staticmethod
     def peak(job, workers=1, **kwargs):
@@ -391,6 +396,38 @@ class TestParentMemory:
         report = verify_theorem(job, workers=workers)
         assert report["failed"] == 1000
         assert [f["m"] for f in report["failures"]] == list(range(100))
+
+    def test_cap_falls_inside_one_m(self, monkeypatch):
+        # Three failures per m: the 100th is the first of m = 33, so the
+        # report must cut inside that m and keep (m, quad) order.
+        monkeypatch.setattr(verifier, "_run_chunk", _three_failures_per_m)
+        report = verify_theorem(VerificationJob("1.1", 0, 200, chunk=8),
+                                workers=2)
+        want = _three_failures_per_m("1.1", 0, 200)["failures"][:100]
+        assert report["failures"] == want
+        assert (report["failures"][-1]["m"],
+                report["failures"][-1]["quad"]) == (33, [1, 1, 2, 2])
+
+    def test_real_failures_past_the_cap(self, tmp_path):
+        # 1.4b below its threshold: 187 of 200 m fail, 100 are reported,
+        # the same for every worker count, chunk size and resume.
+        blobs = set()
+        for workers in (1, 2):
+            for chunk in (1, 16):
+                report = verify_theorem(
+                    VerificationJob("1.4b", 10**4, 10**4 + 200, chunk=chunk),
+                    workers=workers)
+                blobs.add(canonical_report_bytes(report))
+        job = VerificationJob("1.4b", 10**4, 10**4 + 200, chunk=16,
+                              checkpoint=str(tmp_path / "ck.jsonl"))
+        with pytest.raises(_SimulatedInterrupt):
+            verify_theorem(job, workers=2, _stop_after_chunks=3)
+        report = verify_theorem(job, workers=2)
+        blobs.add(canonical_report_bytes(report))
+        assert len(blobs) == 1
+        assert report["failed"] == 187 and len(report["failures"]) == 100
+        ms = [f["m"] for f in report["failures"]]
+        assert ms == sorted(ms) and len(set(ms)) == 100
 
 
 class TestCheckpointing:
