@@ -11,6 +11,7 @@ related coefficient quadruples via quaternion identities beta*u == v*beta'.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -62,7 +63,8 @@ class SystemQuadruple(NamedTuple):
 
     @property
     def l(self) -> int:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+        a, b, c, d = self
+        return a * a + b * b + c * c + d * d
 
     def beta(self) -> Quaternion:
         return Quaternion(self.a, self.b, self.c, self.d)
@@ -427,10 +429,10 @@ def _normalize_to(raw: tuple[int, int, int, int], coeffs: Quaternion,
 # Direct descent
 # --------------------------------------------------------------------------
 
-# The product of the primes p = 3 (mod 4) below 1024.  The test below takes
-# about 0.5 us per A on verify runs near 1e5 and 1e12; primes up to 4096
-# cost 1.0 to 2.4 us per gcd and skip 15% more B-scans near 1e12 but none
-# more near 1e5.
+# The product of the primes p = 3 (mod 4) below 1024.  The test below only
+# sees remainders of at least _TABLE_MAX_REM, which the two-square table
+# does not cover; it takes about 0.5 us per A on verify runs near 1e12, and
+# primes up to 4096 cost 1.0 to 2.4 us per gcd and skip 15% more B-scans.
 _TWO_SQUARE_PRODUCT = prod(p for p in range(3, 1024, 4)
                            if all(p % d for d in range(3, isqrt(p) + 1, 2)))
 
@@ -443,7 +445,8 @@ def _two_square_possible(rem: int) -> bool:
     the primes of _TWO_SQUARE_PRODUCT: g holds the shared primes not yet
     resolved, each still dividing odd.  Dividing by g once and then by the
     primes still shared removes two from each exponent; a prime of g that
-    divided rem only once has an odd exponent.
+    divided rem only once has an odd exponent.  The descent asks only for
+    rem >= _TABLE_MAX_REM; smaller remainders read the two-square table.
     """
     if rem == 0:
         return True
@@ -461,14 +464,46 @@ def _two_square_possible(rem: int) -> bool:
     return True
 
 
-# A B-scan with at least this many probes runs in numpy; shorter scans stay
-# scalar, where numpy's fixed cost per call (about 20 us) dominates.  Timing
-# both scans on every scan of verify blocks near 1e5, 1e9, 1e12 and the
-# 1.4a/1.4b thresholds put the crossover near 50 probes.
+# A remainder below this bound takes its hits from the two-square table;
+# at or above it, the gate and then a B-scan.  Near m = 1e5 nearly every
+# remainder is below it.
+_TABLE_MAX_REM = 1 << 17
+# A B-scan of a remainder past the table with at least this many probes
+# runs in numpy; shorter scans stay scalar, where numpy's fixed cost per
+# call (about 20 us) dominates.  Timing both scans on every scan of verify
+# blocks near 1e5, 1e9, 1e12 and the 1.4a/1.4b thresholds put the
+# crossover near 50 probes.
 _VECTOR_MIN_PROBES = 64
 # Below this remainder B*B, c2 and C*C fit in int64, and float64 square
 # roots of c2 are close enough to round to the exact root.
 _VECTOR_MAX_REM = 1 << 62
+
+
+def _two_square_table(bound: int) -> tuple[array, array, array]:
+    """Every pair B >= C >= 0 with B*B + C*C < bound, as (start, Bs, Cs).
+
+    The pairs of r = B*B + C*C are Bs[i], Cs[i] for i in
+    range(start[r], start[r + 1]), B descending.  Unsigned 16-bit entries:
+    below 2**17 there are 51,778 pairs, so about 0.47 MB in all.  The
+    arrays are filled through numpy views, which keeps the build's own
+    temporaries small.
+    """
+    top = isqrt(bound - 1)
+    rows = [np.arange(min(b, isqrt(bound - 1 - b * b)) + 1, dtype=np.int32)
+            for b in range(top, -1, -1)]  # the Cs of each B, B descending
+    B = np.repeat(np.arange(top, -1, -1, dtype=np.int32), [len(c) for c in rows])
+    C = np.concatenate(rows)
+    r = B * B + C * C
+    order = np.argsort(r, kind="stable")
+    start, Bs, Cs = (array("H", bytes(2 * k)) for k in (bound + 1, len(r), len(r)))
+    np.frombuffer(start, np.uint16)[1:] = np.cumsum(np.bincount(r, minlength=bound))
+    np.frombuffer(Bs, np.uint16)[:] = B[order]
+    np.frombuffer(Cs, np.uint16)[:] = C[order]
+    return start, Bs, Cs
+
+
+# Built at import, so that pool workers forked from the parent inherit it.
+_TABLE_START, _TABLE_B, _TABLE_C = _two_square_table(_TABLE_MAX_REM)
 
 
 def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
@@ -487,6 +522,29 @@ def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
                 if mk:
                     hits.append((B, C, mk))
             B -= l
+    return hits
+
+
+def _scan_b_table(rem: int, bhi: int, blo: int, l: int,
+                  bres: tuple[int, ...], base: int,
+                  mask: dict[int, int]) -> list[tuple[int, int, int]]:
+    """The same hits as `_scan_b_scalar`, read from the two-square table.
+
+    Needs rem < _TABLE_MAX_REM.  Hits come B descending.  The table lists
+    only B >= C, which is B >= blo, and B <= isqrt(rem), so bhi = A gives
+    the same hits as min(A, isqrt(rem)); no class off the B-residues in
+    bres is in the mask.  Neither blo nor bres is read.
+    """
+    hits = []
+    i, end = _TABLE_START[rem], _TABLE_START[rem + 1]
+    while i < end:  # a while loop: most remainders have no pair
+        B = _TABLE_B[i]
+        if B <= bhi:
+            C = _TABLE_C[i]
+            mk = mask.get(base + B % l * l + C % l)
+            if mk:
+                hits.append((B, C, mk))
+        i += 1
     return hits
 
 
@@ -515,20 +573,22 @@ def _scan_b_vector(rem: int, bhi: int, blo: int, l: int,
     return hits
 
 
-def _descent_solutions(m: int, n: int,
-                       quad: SystemQuadruple) -> Iterator[RestrictedSolution]:
+def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
+                       l: Optional[int] = None) -> Iterator[RestrictedSolution]:
     """Yield solutions at value n in the deterministic enumeration order.
 
     Canonical triples A >= B >= C >= 0 with A**2+B**2+C**2 = l*m - n**2 are
     visited in decreasing lexicographic order; within one triple the 48
     signed permutations are visited in variant order (permutations of
-    (A,B,C) lexicographically, then signs with + before -).  Long B-scans
-    run in numpy; the order is the same either way.  An A whose remainder
-    is not a sum of two squares has no hit, so `_two_square_possible`
-    skips its scan.
+    (A,B,C) lexicographically, then signs with + before -).  A remainder
+    below _TABLE_MAX_REM takes its hits from the two-square table; past
+    it, an A whose remainder is not a sum of two squares has no hit, so
+    `_two_square_possible` skips its scan, and long B-scans run in numpy.
+    The order is the same every way.  l, when given, is quad.l.
     """
     a, b, c, d = quad
-    l = quad.l
+    if l is None:
+        l = quad.l
     big_r = l * m - n * n
     if big_r < 0 or not is_three_square(big_r):
         return
@@ -538,26 +598,29 @@ def _descent_solutions(m: int, n: int,
     while A >= 0 and 3 * A * A >= big_r:
         rem = big_r - A * A
         bres = planes[A % l]
-        if bres and _two_square_possible(rem):
+        if bres and rem < _TABLE_MAX_REM:
+            hits = _scan_b_table(rem, A, 0, l, bres, (A % l) * ll, mask)
+        elif bres and _two_square_possible(rem):
             bhi = min(A, isqrt(rem))
             blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
             vector = ((bhi - blo) // l * len(bres) >= _VECTOR_MIN_PROBES
                       and rem < _VECTOR_MAX_REM)
             scan = _scan_b_vector if vector else _scan_b_scalar
             hits = scan(rem, bhi, blo, l, bres, (A % l) * ll, mask)
-            if len(hits) > 1:
-                hits.sort(key=lambda h: -h[0])
-            for B, C, mk in hits:
-                while mk:  # each set bit v, lowest first
-                    low = mk & -mk
-                    mk ^= low
-                    A2, B2, C2 = _residues.signed_permutation(
-                        (A, B, C), low.bit_length() - 1)
-                    g1 = (a * n + b * A2 + c * B2 + d * C2) // l
-                    g2 = (-b * n + a * A2 - d * B2 + c * C2) // l
-                    g3 = (-c * n + d * A2 + a * B2 - b * C2) // l
-                    g4 = (-d * n - c * A2 + b * B2 + a * C2) // l
-                    yield RestrictedSolution(g1, -g2, -g3, -g4, n)
+            hits.sort(reverse=True)  # B descending, as the table's
+        else:
+            hits = ()
+        for B, C, mk in hits:
+            while mk:  # each set bit v, lowest first
+                low = mk & -mk
+                mk ^= low
+                A2, B2, C2 = _residues.signed_permutation(
+                    (A, B, C), low.bit_length() - 1)
+                g1 = (a * n + b * A2 + c * B2 + d * C2) // l
+                g2 = (-b * n + a * A2 - d * B2 + c * C2) // l
+                g3 = (-c * n + d * A2 + a * B2 - b * C2) // l
+                g4 = (-d * n - c * A2 + b * B2 + a * C2) // l
+                yield RestrictedSolution(g1, -g2, -g3, -g4, n)
         A -= 1
 
 
@@ -672,7 +735,7 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
             if nat is not None:
                 _validate(nat, m, q)
             return nat
-    for sol in _descent_solutions(m, n, q):
+    for sol in _descent_solutions(m, n, q, l):
         if not natural:
             _validate(sol, m, q)
             return sol

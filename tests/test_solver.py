@@ -539,6 +539,81 @@ class TestTwoSquarePrefilter:
         assert first_solutions() == filtered
 
 
+class TestTwoSquareTable:
+    """The two-square table lists every B >= C >= 0 below its bound, and
+    the descent reads from it exactly the hits a scalar B-scan finds."""
+
+    BOUND = solver._TABLE_MAX_REM
+    SCALES = (40, 1000, 2000, 10**5 + 3)
+
+    def test_every_pair_listed(self):
+        want = {}
+        for B in range(isqrt(self.BOUND - 1), -1, -1):
+            for C in range(B + 1):
+                if B * B + C * C < self.BOUND:
+                    want.setdefault(B * B + C * C, []).append((B, C))
+        start = solver._TABLE_START
+        assert len(start) == self.BOUND + 1
+        got = {}
+        for r in range(self.BOUND):
+            for i in range(start[r], start[r + 1]):
+                got.setdefault(r, []).append(
+                    (solver._TABLE_B[i], solver._TABLE_C[i]))
+        assert got == want
+        assert start[self.BOUND] == len(solver._TABLE_B) == len(solver._TABLE_C)
+        assert got[0] == [(0, 0)]
+        # 2**17 - 1 is 3 mod 4, and 2**17 - 3 is the last r listed.
+        assert self.BOUND - 1 not in got
+        assert got[self.BOUND - 3] == [(362, 5), (310, 187)]
+
+    @staticmethod
+    def cases(m, quad):
+        """n values at scale m whose l*m - n**2 is a sum of three squares."""
+        lm = quad.l * m
+        ns = {three_square_below(lm, k)
+              for k in (isqrt(lm), isqrt(lm) - 100, isqrt(lm) - 1000,
+                        isqrt(lm) // 2, 3) if k >= 0}
+        return sorted(n for n in ns if n >= 0)
+
+    def test_hits_match_scalar(self):
+        scanned = hit = 0
+        for quad in NINE_QUADRUPLES:
+            for m in self.SCALES:
+                for n in self.cases(m, quad):
+                    for A in walk(m, n, quad):
+                        args = scan_args(m, n, quad, A)
+                        if args[0] >= self.BOUND:
+                            continue
+                        scalar = sorted(solver._scan_b_scalar(*args),
+                                        reverse=True)
+                        assert solver._scan_b_table(*args) == scalar
+                        # The descent passes bhi = A and blo = 0.
+                        assert solver._scan_b_table(
+                            args[0], A, 0, *args[3:]) == scalar
+                        scanned += 1
+                        hit += bool(scalar)
+        assert scanned > 6000 and hit > 1000
+
+    def test_enumeration_matches_scans(self, monkeypatch):
+        calls = []
+        table = solver._scan_b_table
+        monkeypatch.setattr(solver, "_scan_b_table",
+                            lambda *args: calls.append(1) or table(*args))
+
+        def first_solutions():
+            return [list(itertools.islice(
+                        solver._descent_solutions(m, n, quad), 300))
+                    for quad in NINE_QUADRUPLES for m in self.SCALES
+                    for n in self.cases(m, quad)]
+
+        default = first_solutions()
+        assert calls
+        calls.clear()
+        monkeypatch.setattr(solver, "_TABLE_MAX_REM", 0)
+        assert first_solutions() == default
+        assert not calls
+
+
 class TestAdmissibleN:
     def test_examples(self):
         assert admissible_n(3, (1, 1, 2, 2), "cubes") == [0, 1]
