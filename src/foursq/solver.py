@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import count, repeat
 from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -123,6 +124,12 @@ class TargetSet(Enum):
             ks, member = range(hi.bit_length()), lambda k: 1 << k
         return map(member, ks[::-1] if descending else ks)
 
+    def members(self) -> Iterator[int]:
+        """Every member of the set, ascending, without end and without roots."""
+        if self is TargetSet.POW2:
+            return map((1).__lshift__, count())
+        return map(pow, count(), repeat(2 if self is TargetSet.SQUARES else 3))
+
 
 # The nine supported coefficient quadruples, in the order the solvability
 # results list them.
@@ -145,7 +152,8 @@ FOUR_QUADRUPLES = tuple(SystemQuadruple(*q) for q in (
 FIVE_QUADRUPLES = tuple(SystemQuadruple(*q) for q in (
     (1, 3, 3, 0), (1, 2, 4, 0), (1, 1, 2, 4), (1, 1, 2, 5), (1, 2, 3, 5)))
 
-_SUPPORTED = frozenset(NINE_QUADRUPLES)
+# The norm l of each supported quadruple, read once per solve.
+_NORMS = {q: q.l for q in NINE_QUADRUPLES}
 
 # Residue filters: for these quadruples l*m - n**2 must avoid certain
 # classes mod 3 or mod 5, which prunes candidate values of n before any
@@ -158,7 +166,7 @@ _FILTER_MODULUS = {
 
 def _as_quad(quad: Sequence[int]) -> SystemQuadruple:
     q = quad if isinstance(quad, SystemQuadruple) else SystemQuadruple(*quad)
-    if q not in _SUPPORTED and all(q != r.source for r in builtin_rules()):
+    if q not in _NORMS and all(q != r.source for r in builtin_rules()):
         raise UnsupportedQuadrupleError(
             f"coefficient quadruple {tuple(q)} is not supported"
         )
@@ -167,7 +175,7 @@ def _as_quad(quad: Sequence[int]) -> SystemQuadruple:
 
 def _require_primary(quad: Sequence[int]) -> SystemQuadruple:
     q = quad if isinstance(quad, SystemQuadruple) else SystemQuadruple(*quad)
-    if q not in _SUPPORTED:
+    if q not in _NORMS:
         raise UnsupportedQuadrupleError(
             f"coefficient quadruple {tuple(q)} is not one of the nine "
             f"supported quadruples"
@@ -530,14 +538,15 @@ def _scan_b_table(rem: int, bhi: int, blo: int, l: int,
                   mask: dict[int, int]) -> list[tuple[int, int, int]]:
     """The same hits as `_scan_b_scalar`, read from the two-square table.
 
-    Needs rem < _TABLE_MAX_REM.  Hits come B descending.  The table lists
+    Needs rem < _TABLE_MAX_REM; the descent calls it only for a remainder
+    with at least one pair.  Hits come B descending.  The table lists
     only B >= C, which is B >= blo, and B <= isqrt(rem), so bhi = A gives
     the same hits as min(A, isqrt(rem)); no class off the B-residues in
     bres is in the mask.  Neither blo nor bres is read.
     """
     hits = []
     i, end = _TABLE_START[rem], _TABLE_START[rem + 1]
-    while i < end:  # a while loop: most remainders have no pair
+    while i < end:
         B = _TABLE_B[i]
         if B <= bhi:
             C = _TABLE_C[i]
@@ -599,7 +608,9 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
         rem = big_r - A * A
         bres = planes[A % l]
         if bres and rem < _TABLE_MAX_REM:
-            hits = _scan_b_table(rem, A, 0, l, bres, (A % l) * ll, mask)
+            # Most small remainders have no two-square split at all.
+            hits = (_scan_b_table(rem, A, 0, l, bres, (A % l) * ll, mask)
+                    if _TABLE_START[rem] != _TABLE_START[rem + 1] else ())
         elif bres and _two_square_possible(rem):
             bhi = min(A, isqrt(rem))
             blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
@@ -698,7 +709,8 @@ def _natural_box(m: int, n: int,
 
 
 def _check_m(m: int, name: str = "m") -> None:
-    """The range contract of every solver entry point: 0 <= m <= INT64_MAX."""
+    """The range contract of every solver entry point: 0 <= m <= INT64_MAX.
+    Per-solve entry points test it inline and call this only to raise."""
     if m < 0:
         raise ValueError(f"{name} must be nonnegative")
     if m > INT64_MAX:
@@ -715,10 +727,11 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
     the first of them is found in the natural box when that is small.
     """
     q = _as_quad(quad)
-    _check_m(m)
+    if not 0 <= m <= INT64_MAX:
+        _check_m(m)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    l = q.l
+    l = _NORMS.get(q) or q.l
     if n * n > l * m:
         raise ValueError(f"n**2 = {n * n} exceeds l*m = {l * m}")
     if natural:
@@ -780,7 +793,7 @@ def admissible_n(m: int, quad: Sequence[int],
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)
     _check_m(m)
-    lm = q.l * m
+    lm = _NORMS[q] * m
     return [n for n in _candidate_values(m, q, ts, False)
             if _passes_residue_filter(q, n, lm - n * n)]
 
@@ -810,12 +823,16 @@ def _candidate_values(m: int, quad: SystemQuadruple, ts: TargetSet,
 
     Values passing the residue filter come first, then those failing it;
     each group ascending, or descending when natural.  Lazy: the filtered
-    head is yielded before the rest of the set is examined.
+    head is yielded before the rest of the set is examined.  The ascending
+    walk takes no root: it stops at the first n with n**2 > l*m.
     """
-    lm = quad.l * m
+    lm = _NORMS[quad] * m
     deferred = []
-    for n in ts.members_upto(isqrt(lm), descending=natural):
+    for n in (ts.members_upto(isqrt(lm), descending=True) if natural
+              else ts.members()):
         r = lm - n * n
+        if r < 0:
+            break
         if is_three_square(r):
             if _passes_residue_filter(quad, n, r):
                 yield n
@@ -849,7 +866,8 @@ def solve_restricted(m: int, quad: Sequence[int],
     """
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)
-    _check_m(m)
+    if not 0 <= m <= INT64_MAX:
+        _check_m(m)
     if n is None:
         values = _candidate_values(m, q, ts, natural)
     elif ts.contains(n):
@@ -871,11 +889,13 @@ def check_solution(m: int, quad: Sequence[int],
     """True iff sol solves the system and its value lies in the target set."""
     q = _require_primary(quad)
     ts = TargetSet.parse(target_set)
-    _check_m(m)
+    if not 0 <= m <= INT64_MAX:
+        _check_m(m)
     x, y, z, t, n = sol
+    a, b, c, d = q
     return (
         x * x + y * y + z * z + t * t == m
-        and q.linear_form(x, y, z, t) == n
+        and a * x + b * y + c * z + d * t == n
         and ts.contains(n)
     )
 

@@ -175,7 +175,7 @@ def _run_chunk(theorem: str, start: int, end: int) -> dict:
     for m in range(start, end):
         code, fails = _verify_one(m, theorem)
         codes.append(code)
-        if len(failures) < _FAILURE_CAP:
+        if fails and len(failures) < _FAILURE_CAP:
             failures.extend(fails[: _FAILURE_CAP - len(failures)])
     return {"codes": "".join(codes), "failures": failures}
 
@@ -356,29 +356,22 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     loaded = (_load_checkpoint(job.checkpoint, job, absorb)
               if job.checkpoint else set())
     # Lazy, so the parent holds no list of every chunk number.
-    pending = (i for i in range(nchunks) if i not in loaded)
+    pending = ((i for i in range(nchunks) if i not in loaded) if loaded
+               else iter(range(nchunks)))
     npending = nchunks - len(loaded)
-
-    def bounds(i: int) -> tuple[int, int]:
-        start = job.lo + i * job.chunk
-        return start, min(job.hi, start + job.chunk)
-
-    def record(recs: dict[int, dict]) -> None:
-        nonlocal completed
-        if job.checkpoint:
-            _save_checkpoint(job.checkpoint, job, recs)
-        for i, rec in recs.items():
-            absorb(i, rec)
-        completed += len(recs)
-        # Pool tasks record several chunks at once, so the hook fires at
-        # the first record that brings the count to at least N.
-        if _stop_after_chunks is not None and completed >= _stop_after_chunks:
-            raise _SimulatedInterrupt(f"stopped after {completed} chunks")
-
+    # Each finished chunk is saved (serially one to a save, in the pool one
+    # task to a save), then absorbed; the stop hook fires at the first save
+    # that brings the count of chunks finished in this run to at least N.
     if workers <= 1 or npending <= 1:
         for i in pending:
-            start, end = bounds(i)
-            record({i: _run_chunk(job.theorem, start, end)})
+            start = job.lo + i * job.chunk
+            rec = _run_chunk(job.theorem, start, min(job.hi, start + job.chunk))
+            if job.checkpoint:
+                _save_checkpoint(job.checkpoint, job, {i: rec})
+            absorb(i, rec)
+            completed += 1
+            if _stop_after_chunks is not None and completed >= _stop_after_chunks:
+                raise _SimulatedInterrupt(f"stopped after {completed} chunks")
     else:
         # Never fewer tasks than workers; at most two tasks per worker in
         # flight, so the parent holds few futures however long the range.
@@ -392,14 +385,25 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
             running: dict = {}
             while True:
                 for task in itertools.islice(queued, 2 * size - len(running)):
-                    spans = [bounds(i) for i in task]
+                    spans = [(job.lo + i * job.chunk,
+                              min(job.hi, job.lo + (i + 1) * job.chunk))
+                             for i in task]
                     running[executor.submit(_run_chunks, job.theorem,
                                             spans)] = task
                 if not running:
                     break
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for fut in finished:
-                    record(dict(zip(running.pop(fut), fut.result())))
+                    recs = dict(zip(running.pop(fut), fut.result()))
+                    if job.checkpoint:
+                        _save_checkpoint(job.checkpoint, job, recs)
+                    for i, rec in recs.items():
+                        absorb(i, rec)
+                    completed += len(recs)
+                    if (_stop_after_chunks is not None
+                            and completed >= _stop_after_chunks):
+                        raise _SimulatedInterrupt(
+                            f"stopped after {completed} chunks")
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
 

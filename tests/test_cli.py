@@ -304,6 +304,30 @@ class TestSelfChecks:
         assert "1.4a" in out and "1.4b" in out
 
 
+def test_runtime_smoke_script(tmp_path):
+    # CI runs the script after uninstalling mpmath; here a sitecustomize
+    # refuses mpmath in every Python the script starts, and `foursq` runs
+    # the CLI module of this checkout.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(foursq.__file__))
+    bin_dir, hook_dir, work = (tmp_path / d for d in ("bin", "hook", "work"))
+    for d in (bin_dir, hook_dir, work):
+        d.mkdir()
+    (hook_dir / "sitecustomize.py").write_text(
+        "import sys\nsys.modules['mpmath'] = None\n")
+    for name, args in (("foursq", "-m foursq.cli "), ("python", "")):
+        shim = bin_dir / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {args}"$@"\n')
+        shim.chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+               PYTHONPATH=f"{hook_dir}{os.pathsep}{src}")
+    proc = subprocess.run(
+        ["bash", "-e", os.path.join(root, "tests", "runtime_smoke.sh")],
+        cwd=work, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "bounds hold" in proc.stdout
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -613,6 +613,19 @@ class TestTwoSquareTable:
         assert first_solutions() == default
         assert not calls
 
+    def test_empty_rows_are_not_scanned(self, monkeypatch):
+        rems = []
+        table = solver._scan_b_table
+        monkeypatch.setattr(solver, "_scan_b_table",
+                            lambda *args: rems.append(args[0]) or table(*args))
+        start = solver._TABLE_START
+        for quad in NINE_QUADRUPLES:
+            for m in self.SCALES:
+                for n in self.cases(m, quad):
+                    list(solver._descent_solutions(m, n, quad))
+        assert len(rems) > 1000
+        assert all(start[r] < start[r + 1] for r in rems)
+
 
 class TestAdmissibleN:
     def test_examples(self):
@@ -624,6 +637,16 @@ class TestAdmissibleN:
         with pytest.raises(UnsupportedQuadrupleError):
             admissible_n(3, (2, 3, 3, 0), "cubes")
 
+    @staticmethod
+    def passes_filter(quad, n, r):
+        """The residue filter on r = l*m - n**2, written out per quadruple."""
+        if tuple(quad) in ((1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 3, 0),
+                           (2, 3, 4, 0)):
+            return r % 3 != 1
+        if tuple(quad) == (1, 2, 3, 5):
+            return r % 5 in (0, 1, 4) or n % 3 != 0
+        return r % 5 in (0, 1, 4)
+
     @given(st.integers(0, 5000), st.sampled_from(list(NINE_QUADRUPLES)),
            st.sampled_from(list(TargetSet)))
     @settings(max_examples=200, deadline=None)
@@ -632,19 +655,58 @@ class TestAdmissibleN:
         lm = q.l * m
         out = admissible_n(m, quad, ts)
         assert out == sorted(set(out))
-        key = tuple(q)
         for n in ts.members_upto(isqrt(lm)):
             r = lm - n * n
-            expected = is_three_square(r)
-            if expected:
-                if key in ((1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 3, 0),
-                           (2, 3, 4, 0)):
-                    expected = r % 3 != 1
-                elif key == (1, 2, 3, 5):
-                    expected = r % 5 in (0, 1, 4) or n % 3 != 0
-                else:
-                    expected = r % 5 in (0, 1, 4)
-            assert (n in out) == expected, (m, key, ts, n)
+            expected = is_three_square(r) and self.passes_filter(q, n, r)
+            assert (n in out) == expected, (m, tuple(q), ts, n)
+
+    def bounded_stream(self, m, quad, ts, natural):
+        """The candidate stream over the members <= isqrt(l*m): filtered
+        values first, then the rest, each ascending (descending if natural)."""
+        lm = quad.l * m
+        head, tail = [], []
+        for n in ts.members_upto(isqrt(lm), descending=natural):
+            r = lm - n * n
+            if is_three_square(r):
+                (head if self.passes_filter(quad, n, r) else tail).append(n)
+        return head + tail
+
+    def test_candidate_stream_at_root_boundaries(self):
+        # The ascending stream takes no root: it stops at the first member
+        # n with n**2 > l*m.  Put l*m just below, at and just above each
+        # sampled member's square, up to the last one below
+        # isqrt(l*INT64_MAX).  A squares list near the top has about 1e5
+        # members, so there only the last member and INT64_MAX are taken,
+        # for every third quadruple.
+        member = {TargetSet.SQUARES: lambda k: k * k,
+                  TargetSet.CUBES: lambda k: k ** 3,
+                  TargetSet.POW2: lambda k: 1 << k}
+        checked = 0
+        for i, quad in enumerate(NINE_QUADRUPLES):
+            l = quad.l
+            for ts, power in member.items():
+                top = 0
+                while power(top + 1) ** 2 <= l * INT64_MAX:
+                    top += 1
+                ks = set(range(12)) | {round(top ** (j / 8)) for j in range(7)}
+                ms = {0}
+                if ts is not TargetSet.SQUARES:
+                    ks |= {top - 1, top}
+                    ms.add(INT64_MAX)
+                elif i % 3 == 0:
+                    v2 = power(top) ** 2
+                    ms |= {(v2 - 1) // l, (v2 + l - 1) // l, INT64_MAX}
+                for k in ks:
+                    v2 = power(k) ** 2
+                    ms |= {(v2 - 1) // l, v2 // l, (v2 + l - 1) // l}
+                for m in sorted(x for x in ms if 0 <= x <= INT64_MAX):
+                    assert list(solver._candidate_values(m, quad, ts, False)) \
+                        == self.bounded_stream(m, quad, ts, False), (quad, ts, m)
+                    checked += 1
+                    if m < 10**12:
+                        assert list(solver._candidate_values(m, quad, ts, True)) \
+                            == self.bounded_stream(m, quad, ts, True)
+        assert checked > 800
 
     def test_members_upto(self):
         for ts in TargetSet:

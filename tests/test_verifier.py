@@ -9,13 +9,16 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import isqrt
 
 import mpmath
 import pytest
 
 import foursq
 from foursq import verifier
+from foursq.arith import iroot
 from foursq.lipschitz import INT64_MAX, ArithmeticRangeError
+from foursq.solver import RestrictedSolution, TargetSet
 from foursq.verifier import (
     THEOREM_IDS,
     VerificationJob,
@@ -146,6 +149,82 @@ class TestWindowedStatements:
         assert lo_mult * m <= nn**4 <= hi_mult * m
         assert check_solution(m, quad, "squares", sol)
         assert all(v >= 0 for v in (sol.x, sol.y, sol.z, sol.t))
+
+
+def _faulty(sol, quad, ts, fault):
+    """sol with one fault, the other two properties of a certificate kept:
+    a wrong norm, a wrong linear form, or a value outside the set."""
+    x, y, z, t, n = sol
+    a, b = quad[0], quad[1]
+    if fault == "norm":
+        # (b, -a, 0, 0) leaves the linear form alone; the norm changes for
+        # every k but at most one.
+        k = next(k for k in (1, 2) if (x + k * b) ** 2 + (y - k * a) ** 2
+                 != x * x + y * y)
+        return RestrictedSolution(x + k * b, y - k * a, z, t, n)
+    if fault == "form":
+        # The next member of the set above n.
+        above = {"squares": (isqrt(n) + 1) ** 2, "cubes": (iroot(n, 3) + 1) ** 3,
+                 "pow2": 1 << n.bit_length()}[TargetSet.parse(ts).value]
+        return RestrictedSolution(x, y, z, t, above)
+    # Negating each coordinate that adds to the linear form leaves a
+    # negative value, outside every set.
+    coords = [-v if c * v > 0 else v for c, v in zip(quad, (x, y, z, t))]
+    value = sum(c * v for c, v in zip(quad, coords))
+    assert value < 0
+    return RestrictedSolution(*coords, value)
+
+
+class TestRevalidation:
+    """A certificate that fails its independent recheck fails its m."""
+
+    @pytest.mark.parametrize("fault", ["norm", "form", "set"])
+    @pytest.mark.parametrize("theorem,m", [
+        ("1.1", 100_003), ("1.1", 64 * 1_601),
+        ("1.2", 100_003), ("1.2", 4 * 25_001),
+        ("1.3", 100_003), ("1.3", 16 * 6_257)])
+    def test_wrong_certificate_fails_its_m(self, monkeypatch, theorem, m,
+                                           fault):
+        solve = verifier.solve_restricted
+        planted = {}
+
+        def planting(m, quad, target_set, natural=False, n=None):
+            sol = _faulty(solve(m, quad, target_set), quad, target_set, fault)
+            planted[tuple(quad)] = sol
+            return sol
+
+        monkeypatch.setattr(verifier, "solve_restricted", planting)
+        report = verify_theorem(VerificationJob(theorem, m, m + 1), workers=1,
+                                include_codes=True)
+        # Certificates of the reduced m are scaled back up before the check.
+        scale = isqrt(m // reduce_m(m, theorem))
+        assert report["codes"] == "F"
+        assert [(f["m"], tuple(f["quad"]), f["trace"])
+                for f in report["failures"]] == [
+            (m, quad, "certificate failed revalidation: "
+                      f"{tuple(v * scale for v in sol)}")
+            for quad, sol in planted.items()]
+
+    @pytest.mark.parametrize("fault", ["norm", "form", "set"])
+    def test_wrong_window_certificate_fails_its_m(self, monkeypatch, fault):
+        solve = verifier.solve_linear_system
+        planted = []
+
+        def planting(m, n, quad, natural=False):
+            sol = solve(m, n, quad, natural=natural)
+            if sol is not None:
+                sol = _faulty(sol, quad, "squares", fault)
+                planted.append(sol)
+            return sol
+
+        monkeypatch.setattr(verifier, "solve_linear_system", planting)
+        m = WINDOW_BOUNDS["1.4a"] + 1
+        report = verify_theorem(VerificationJob("1.4a", m, m + 1), workers=1,
+                                include_codes=True)
+        assert report["codes"] == "F" and len(planted) == 1
+        assert report["failures"] == [
+            {"m": m, "quad": [1, 2, 3, 5],
+             "trace": f"certificate failed revalidation: {tuple(planted[0])}"}]
 
 
 class TestBounds:
