@@ -472,7 +472,7 @@ def _two_square_possible(rem: int) -> bool:
     return True
 
 
-# A remainder below this bound takes its hits from the two-square table;
+# A remainder below this bound takes its splits from the two-square table;
 # at or above it, the gate and then a B-scan.  Near m = 1e5 nearly every
 # remainder is below it.
 _TABLE_MAX_REM = 1 << 17
@@ -515,52 +515,23 @@ _TABLE_START, _TABLE_B, _TABLE_C = _two_square_table(_TABLE_MAX_REM)
 
 
 def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
-                   bres: tuple[int, ...], base: int,
-                   mask: dict[int, int]) -> list[tuple[int, int, int]]:
-    """Hits (B, C, variant mask) with B*B + C*C = rem, B in [blo, bhi]."""
-    mask_get = mask.get
-    hits = []
+                   bres: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Splits (B, C) of rem = B*B + C*C with B in [blo, bhi], B % l in bres."""
+    splits = []
     for br in bres:
         B = bhi - ((bhi - br) % l)
         while B >= blo:
             c2 = rem - B * B
             C = isqrt(c2)
             if C * C == c2:
-                mk = mask_get(base + br * l + C % l)
-                if mk:
-                    hits.append((B, C, mk))
+                splits.append((B, C))
             B -= l
-    return hits
-
-
-def _scan_b_table(rem: int, bhi: int, blo: int, l: int,
-                  bres: tuple[int, ...], base: int,
-                  mask: dict[int, int]) -> list[tuple[int, int, int]]:
-    """The same hits as `_scan_b_scalar`, read from the two-square table.
-
-    Needs rem < _TABLE_MAX_REM; the descent calls it only for a remainder
-    with at least one pair.  Hits come B descending.  The table lists
-    only B >= C, which is B >= blo, and B <= isqrt(rem), so bhi = A gives
-    the same hits as min(A, isqrt(rem)); no class off the B-residues in
-    bres is in the mask.  Neither blo nor bres is read.
-    """
-    hits = []
-    i, end = _TABLE_START[rem], _TABLE_START[rem + 1]
-    while i < end:
-        B = _TABLE_B[i]
-        if B <= bhi:
-            C = _TABLE_C[i]
-            mk = mask.get(base + B % l * l + C % l)
-            if mk:
-                hits.append((B, C, mk))
-        i += 1
-    return hits
+    return splits
 
 
 def _scan_b_vector(rem: int, bhi: int, blo: int, l: int,
-                   bres: tuple[int, ...], base: int,
-                   mask: dict[int, int]) -> list[tuple[int, int, int]]:
-    """The same hits as `_scan_b_scalar`, from one int64 pass over every B.
+                   bres: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The same splits as `_scan_b_scalar`, from one int64 pass over every B.
 
     Needs rem < _VECTOR_MAX_REM.  For a square c2 = C*C < 2**62 the float64
     square root is within 2**-22 of C, so rounding it gives C exactly; the
@@ -573,13 +544,7 @@ def _scan_b_vector(rem: int, bhi: int, blo: int, l: int,
     c2 = rem - B * B
     C = np.rint(np.sqrt(c2)).astype(np.int64)
     sq = C * C == c2
-    mask_get = mask.get
-    hits = []
-    for Bv, Cv in zip(B[sq].tolist(), C[sq].tolist()):
-        mk = mask_get(base + Bv % l * l + Cv % l)
-        if mk:
-            hits.append((Bv, Cv, mk))
-    return hits
+    return list(zip(B[sq].tolist(), C[sq].tolist()))
 
 
 def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
@@ -589,11 +554,13 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     Canonical triples A >= B >= C >= 0 with A**2+B**2+C**2 = l*m - n**2 are
     visited in decreasing lexicographic order; within one triple the 48
     signed permutations are visited in variant order (permutations of
-    (A,B,C) lexicographically, then signs with + before -).  A remainder
-    below _TABLE_MAX_REM takes its hits from the two-square table; past
-    it, an A whose remainder is not a sum of two squares has no hit, so
-    `_two_square_possible` skips its scan, and long B-scans run in numpy.
-    The order is the same every way.  l, when given, is quad.l.
+    (A,B,C) lexicographically, then signs with + before -).  Each A's
+    remainder is split as B*B + C*C, B descending: below _TABLE_MAX_REM
+    the splits are a row of the two-square table, which lists B >= C, so
+    only its leading B > A are skipped; past it, an A whose remainder is
+    not a sum of two squares has no split, so `_two_square_possible` skips
+    its scan, and long B-scans run in numpy.  The class of (A, B, C) mod l
+    then gives each split's valid variants.  l, when given, is quad.l.
     """
     a, b, c, d = quad
     if l is None:
@@ -602,26 +569,28 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     if big_r < 0 or not is_three_square(big_r):
         return
     mask, planes = _residues.masks_for(quad, l, n % l)
-    ll = l * l
+    mask_get = mask.get
     A = isqrt(big_r)
     while A >= 0 and 3 * A * A >= big_r:
         rem = big_r - A * A
         bres = planes[A % l]
         if bres and rem < _TABLE_MAX_REM:
-            # Most small remainders have no two-square split at all.
-            hits = (_scan_b_table(rem, A, 0, l, bres, (A % l) * ll, mask)
-                    if _TABLE_START[rem] != _TABLE_START[rem + 1] else ())
+            i, end = _TABLE_START[rem], _TABLE_START[rem + 1]
+            while i < end and _TABLE_B[i] > A:
+                i += 1
+            splits = zip(_TABLE_B[i:end], _TABLE_C[i:end]) if i < end else ()
         elif bres and _two_square_possible(rem):
             bhi = min(A, isqrt(rem))
             blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
             vector = ((bhi - blo) // l * len(bres) >= _VECTOR_MIN_PROBES
                       and rem < _VECTOR_MAX_REM)
-            scan = _scan_b_vector if vector else _scan_b_scalar
-            hits = scan(rem, bhi, blo, l, bres, (A % l) * ll, mask)
-            hits.sort(reverse=True)  # B descending, as the table's
+            splits = (_scan_b_vector if vector else _scan_b_scalar)(
+                rem, bhi, blo, l, bres)
+            splits.sort(reverse=True)  # B descending, as the table's rows
         else:
-            hits = ()
-        for B, C, mk in hits:
+            splits = ()
+        for B, C in splits:
+            mk = mask_get(A % l * l * l + B % l * l + C % l)
             while mk:  # each set bit v, lowest first
                 low = mk & -mk
                 mk ^= low

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .arith import iroot, is_three_square
-from .lipschitz import INT64_MAX, ArithmeticRangeError
+from .lipschitz import INT64_MAX
 from .solver import (
     FIVE_QUADRUPLES,
     FOUR_QUADRUPLES,
@@ -33,6 +33,7 @@ from .solver import (
     RestrictedSolution,
     SystemQuadruple,
     TargetSet,
+    _check_m,
     check_solution,
     solve_linear_system,
     solve_restricted,
@@ -92,8 +93,7 @@ def reduce_m(m: int, theorem: str) -> int:
     unchanged.
     """
     _check_theorem(theorem)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_m(m)
     if theorem in _WINDOWS:
         return m
     return _reduce_full(m, theorem)[0]
@@ -187,7 +187,8 @@ _TASK_M = 256
 
 def _run_chunks(theorem: str, spans: list[tuple[int, int]]) -> list[dict]:
     # _run_chunk is looked up as a module global at call time, so a
-    # replacement installed before the pool forks reaches the workers.
+    # replacement installed before the pool starts reaches the workers
+    # only under fork; spawned workers import the module afresh.
     return [_run_chunk(theorem, s, e) for s, e in spans]
 
 
@@ -210,8 +211,7 @@ class VerificationJob:
         if self.chunk < 1:
             raise ValueError("chunk size must be >= 1")
         if self.hi - 1 > INT64_MAX:
-            raise ArithmeticRangeError(
-                f"m={self.hi - 1} exceeds signed 64-bit range")
+            _check_m(self.hi - 1)
 
 
 class _SimulatedInterrupt(RuntimeError):

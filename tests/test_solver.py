@@ -34,6 +34,7 @@ from foursq.solver import (
     solve_linear_system,
     solve_restricted,
 )
+from foursq.verifier import reduce_m
 
 ALL_QUADS = list(NINE_QUADRUPLES) + [
     companion_source(q) for q in NINE_QUADRUPLES
@@ -224,7 +225,7 @@ def scan_args(m, n, quad, A):
     mask, planes = _residues.masks_for(tuple(quad), l, n % l)
     bhi = min(A, isqrt(rem))
     blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
-    return rem, bhi, blo, l, planes[A % l], (A % l) * l * l, mask
+    return rem, bhi, blo, l, planes[A % l]
 
 
 def walk(m, n, quad):
@@ -376,7 +377,7 @@ class TestMasks:
 
 
 class TestVectorScan:
-    """`_scan_b_vector` must return exactly `_scan_b_scalar`'s hits.
+    """`_scan_b_vector` must return exactly `_scan_b_scalar`'s splits.
 
     The reference enumeration above stops at m <= 40, where every scan is
     shorter than the vector threshold, so the vector path is checked here.
@@ -385,7 +386,7 @@ class TestVectorScan:
     SCALES = (10**5 + 3, 10**9 + 977, 10**12 + 977)
 
     @staticmethod
-    def assert_same_hits(args):
+    def assert_same_splits(args):
         scalar = solver._scan_b_scalar(*args)
         vector = solver._scan_b_vector(*args)
         assert sorted(vector, reverse=True) == sorted(scalar, reverse=True)
@@ -402,7 +403,7 @@ class TestVectorScan:
                     mid = len(steps) // 6
                     steps = steps[:3] + steps[mid:-mid:mid] + steps[-3:]
                 for A in steps:
-                    self.assert_same_hits(scan_args(m, n, quad, A))
+                    self.assert_same_splits(scan_args(m, n, quad, A))
 
     def test_hits_at_both_ends(self):
         for quad in NINE_QUADRUPLES:
@@ -414,14 +415,14 @@ class TestVectorScan:
                     args = scan_args(m, n, quad, A)
                     bhi, blo = args[1:3]
                     end = blo if at_blo else bhi
-                    hits = self.assert_same_hits(args)
-                    assert end in [B for B, _, _ in hits], (quad, m, n, A)
+                    splits = self.assert_same_splits(args)
+                    assert end in [B for B, _ in splits], (quad, m, n, A)
 
     def test_zero_remainder(self):
         # l*m = 10 * 10**5 = 1000**2, so rem = 0 at n = 0, A = 1000.
         args = scan_args(10**5, 0, NINE_QUADRUPLES[0], 1000)
         assert args[0] == 0
-        assert self.assert_same_hits(args) == [(0, 0, args[-1][0])]
+        assert self.assert_same_splits(args) == [(0, 0)]
 
     def test_enumeration_matches_scalar_only(self, monkeypatch):
         m = 10**12 + 977
@@ -541,7 +542,7 @@ class TestTwoSquarePrefilter:
 
 class TestTwoSquareTable:
     """The two-square table lists every B >= C >= 0 below its bound, and
-    the descent reads from it exactly the hits a scalar B-scan finds."""
+    the descent reads from it exactly the splits a scalar B-scan finds."""
 
     BOUND = solver._TABLE_MAX_REM
     SCALES = (40, 1000, 2000, 10**5 + 3)
@@ -576,29 +577,32 @@ class TestTwoSquareTable:
         return sorted(n for n in ns if n >= 0)
 
     def test_hits_match_scalar(self):
+        # A row, after its leading B > A, is every split the descent reads:
+        # the scalar scan's over every B-residue.
+        start = solver._TABLE_START
         scanned = hit = 0
         for quad in NINE_QUADRUPLES:
             for m in self.SCALES:
                 for n in self.cases(m, quad):
                     for A in walk(m, n, quad):
-                        args = scan_args(m, n, quad, A)
-                        if args[0] >= self.BOUND:
+                        rem, bhi, blo, l, _ = scan_args(m, n, quad, A)
+                        if rem >= self.BOUND:
                             continue
-                        scalar = sorted(solver._scan_b_scalar(*args),
-                                        reverse=True)
-                        assert solver._scan_b_table(*args) == scalar
-                        # The descent passes bhi = A and blo = 0.
-                        assert solver._scan_b_table(
-                            args[0], A, 0, *args[3:]) == scalar
+                        row = [(solver._TABLE_B[i], solver._TABLE_C[i])
+                               for i in range(start[rem], start[rem + 1])]
+                        row = list(itertools.dropwhile(lambda s: s[0] > A, row))
+                        scalar = solver._scan_b_scalar(rem, bhi, blo, l,
+                                                       tuple(range(l)))
+                        assert row == sorted(scalar, reverse=True)
                         scanned += 1
-                        hit += bool(scalar)
+                        hit += bool(row)
         assert scanned > 6000 and hit > 1000
 
     def test_enumeration_matches_scans(self, monkeypatch):
-        calls = []
-        table = solver._scan_b_table
-        monkeypatch.setattr(solver, "_scan_b_table",
-                            lambda *args: calls.append(1) or table(*args))
+        rems = []
+        for name in ("_scan_b_scalar", "_scan_b_vector"):
+            monkeypatch.setattr(solver, name, lambda *args, scan=getattr(
+                solver, name): rems.append(args[0]) or scan(*args))
 
         def first_solutions():
             return [list(itertools.islice(
@@ -607,24 +611,58 @@ class TestTwoSquareTable:
                     for n in self.cases(m, quad)]
 
         default = first_solutions()
-        assert calls
-        calls.clear()
+        assert all(r >= self.BOUND for r in rems)
+        rems.clear()
         monkeypatch.setattr(solver, "_TABLE_MAX_REM", 0)
         assert first_solutions() == default
-        assert not calls
-
-    def test_empty_rows_are_not_scanned(self, monkeypatch):
-        rems = []
-        table = solver._scan_b_table
-        monkeypatch.setattr(solver, "_scan_b_table",
-                            lambda *args: rems.append(args[0]) or table(*args))
+        assert any(r < self.BOUND for r in rems)
+        # Some rows the descent reads open with a B > A, which it skips.
         start = solver._TABLE_START
-        for quad in NINE_QUADRUPLES:
-            for m in self.SCALES:
-                for n in self.cases(m, quad):
-                    list(solver._descent_solutions(m, n, quad))
-        assert len(rems) > 1000
-        assert all(start[r] < start[r + 1] for r in rems)
+        assert any(start[r] < start[r + 1] and solver._TABLE_B[start[r]] > A
+                   for quad in NINE_QUADRUPLES for m in self.SCALES
+                   for n in self.cases(m, quad) for A in walk(m, n, quad)
+                   for r in [quad.l * m - n * n - A * A] if r < self.BOUND)
+
+
+class TestScanAgainstBruteForce:
+    """`_scan_b_scalar` over every B-residue lists exactly the splits that
+    a walk over each B of the window finds; the equality tests above carry
+    this to the vector scan and to the table."""
+
+    @staticmethod
+    def brute_splits(rem, bhi, blo):
+        roots = {C * C: C for C in range(isqrt(rem) + 1)}
+        return {(B, roots[rem - B * B]) for B in range(blo, bhi + 1)
+                if rem - B * B in roots}
+
+    @staticmethod
+    def windows():
+        """(rem, bhi, blo), rem >= 2**17, blo as the descent sets it: splits
+        on blo (C = B or B - 1), on bhi (bhi = isqrt(rem), or the B of a
+        split when A cuts the window, as at 650000 = 700**2 + 400**2 =
+        800**2 + 100**2), many splits, and random remainders."""
+        rng = random.Random(17)
+        rems = [2 * 400 ** 2, 2 * 4999 ** 2, 700 ** 2 + 699 ** 2,
+                3001 ** 2 + 3000 ** 2, 900 ** 2 + 7 ** 2, 6000 ** 2 + 77 ** 2,
+                5 * 13 * 17 * 29 * 37 * 41]
+        rems += [rng.randrange(1 << 17, 10 ** 8) for _ in range(40)]
+        out = [(rem, isqrt(rem), isqrt((rem - 1) // 2) + 1) for rem in rems]
+        return out + [(650000, 700, isqrt(649999 // 2) + 1)]
+
+    def test_scalar_matches_brute_force(self):
+        on_blo = on_bhi = 0
+        for rem, bhi, blo in self.windows():
+            assert rem >= solver._TABLE_MAX_REM and bhi - blo < 10 ** 4
+            want = self.brute_splits(rem, bhi, blo)
+            Bs = {B for B, _ in want}
+            on_blo += blo in Bs
+            on_bhi += bhi in Bs
+            for l in sorted({q.l for q in NINE_QUADRUPLES}):
+                splits = solver._scan_b_scalar(rem, bhi, blo, l,
+                                               tuple(range(l)))
+                assert len(splits) == len(want)
+                assert set(splits) == want, (rem, bhi, blo, l)
+        assert on_blo >= 4 and on_bhi >= 3
 
 
 class TestAdmissibleN:
@@ -985,7 +1023,12 @@ class TestSolveRestricted:
         for call in (lambda: solve_linear_system(big, 0, (1, 1, 2, 2)),
                      lambda: solve_restricted(big, (1, 1, 2, 2), "squares"),
                      lambda: admissible_n(big, (1, 1, 2, 2), "cubes"),
-                     lambda: candidate_set(big, "cubes")):
+                     lambda: candidate_set(big, "cubes"),
+                     lambda: check_solution(big, (1, 1, 2, 2), "squares",
+                                            RestrictedSolution(0, 0, 0, 0, 0)),
+                     lambda: brute_force_oracle(big, (1, 1, 2, 2), "squares"),
+                     lambda: reduce_m(2**69, "1.1"),
+                     lambda: reduce_m(big, "1.4a")):
             with pytest.raises(ArithmeticRangeError):
                 call()
         assert candidate_set(INT64_MAX, "pow2")
