@@ -2,8 +2,9 @@
 
 Subcommands: solve, verify, reps, candidates, oracle, check, identities,
 bounds.  Exit codes: 0 success, 1 verification/solve failure found, 2 usage
-error, 3 arithmetic-range error, 130 interrupted (Ctrl-C), 141 the reader
-of stdout closed it.
+error or a run that could not finish (an unreadable checkpoint, a pool
+worker that died), 3 arithmetic-range error, 130 interrupted (Ctrl-C), 141
+the reader of stdout closed it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from typing import Optional, Sequence
 
 from .arith import four_square_reps, three_square_reps
@@ -265,12 +267,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenExecutor as exc:
+        print(f"error: a pool worker died ({type(exc).__name__})"
+              f"{_resume_hint(args)}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
-        resume = getattr(args, "checkpoint", None)
-        print("interrupted" + (f"; run the same command with --checkpoint "
-                               f"{resume} to resume" if resume else ""),
-              file=sys.stderr)
+        print(f"interrupted{_resume_hint(args)}", file=sys.stderr)
         return 130
+
+
+def _resume_hint(args: argparse.Namespace) -> str:
+    resume = getattr(args, "checkpoint", None)
+    return (f"; run the same command with --checkpoint {resume} to resume"
+            if resume else "")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import count, repeat, takewhile
 from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -111,18 +111,6 @@ class TargetSet(Enum):
         if self is TargetSet.SQUARES:
             return is_square(n)
         return iroot(n, 3) ** 3 == n
-
-    def members_upto(self, hi: int, descending: bool = False) -> Iterator[int]:
-        """The members of the set that are <= hi, lazily, in order."""
-        if hi < 0:
-            return iter(())
-        if self is TargetSet.SQUARES:
-            ks, member = range(isqrt(hi) + 1), lambda k: k * k
-        elif self is TargetSet.CUBES:
-            ks, member = range(iroot(hi, 3) + 1), lambda k: k ** 3
-        else:
-            ks, member = range(hi.bit_length()), lambda k: 1 << k
-        return map(member, ks[::-1] if descending else ks)
 
     def members(self) -> Iterator[int]:
         """Every member of the set, ascending, without end and without roots."""
@@ -566,20 +554,20 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     if l is None:
         l = quad.l
     big_r = l * m - n * n
-    if big_r < 0 or not is_three_square(big_r):
+    if not is_three_square(big_r):
         return
     mask, planes = _residues.masks_for(quad, l, n % l)
     mask_get = mask.get
     A = isqrt(big_r)
     while A >= 0 and 3 * A * A >= big_r:
         rem = big_r - A * A
-        bres = planes[A % l]
-        if bres and rem < _TABLE_MAX_REM:
+        if rem < _TABLE_MAX_REM:
             i, end = _TABLE_START[rem], _TABLE_START[rem + 1]
             while i < end and _TABLE_B[i] > A:
                 i += 1
             splits = zip(_TABLE_B[i:end], _TABLE_C[i:end]) if i < end else ()
-        elif bres and _two_square_possible(rem):
+        elif _two_square_possible(rem):
+            bres = planes[A % l]
             bhi = min(A, isqrt(rem))
             blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
             vector = ((bhi - blo) // l * len(bres) >= _VECTOR_MIN_PROBES
@@ -606,13 +594,10 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
 
 def _naturalize(sol: RestrictedSolution,
                 quad: SystemQuadruple) -> Optional[RestrictedSolution]:
-    """Flip free coordinates (zero coefficient) and demand nonnegativity."""
+    """Flip free coordinates (zero coefficient, only ever c or d: no
+    accepted quadruple has a = 0 or b = 0) and demand nonnegativity."""
     x, y, z, t, n = sol
-    a, b, c, d = quad
-    if not a:
-        x = abs(x)
-    if not b:
-        y = abs(y)
+    c, d = quad[2:]
     if not c:
         z = abs(z)
     if not d:
@@ -778,7 +763,7 @@ def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
     if M < 0:
         return []
     _check_m(M, "M")
-    return [k for k, v in enumerate(ts.members_upto(isqrt(M)))
+    return [k for k, v in enumerate(takewhile(isqrt(M).__ge__, ts.members()))
             if is_three_square(M - v * v)]
 
 
@@ -792,13 +777,13 @@ def _candidate_values(m: int, quad: SystemQuadruple, ts: TargetSet,
 
     Values passing the residue filter come first, then those failing it;
     each group ascending, or descending when natural.  Lazy: the filtered
-    head is yielded before the rest of the set is examined.  The ascending
-    walk takes no root: it stops at the first n with n**2 > l*m.
+    head is yielded before the rest of the set is examined.  Both orders
+    walk `TargetSet.members`; the natural one is bounded by one isqrt(l*m).
     """
     lm = _NORMS[quad] * m
     deferred = []
-    for n in (ts.members_upto(isqrt(lm), descending=True) if natural
-              else ts.members()):
+    for n in (list(takewhile(isqrt(lm).__ge__, ts.members()))[::-1]
+              if natural else ts.members()):
         r = lm - n * n
         if r < 0:
             break

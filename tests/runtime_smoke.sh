@@ -10,7 +10,9 @@
 # mpmath is a test extra only: the window certificates are exact
 # integer computations.  The second checkpointed run resumes from
 # a complete journal.  reps, identities and candidates at INT64_MAX
-# run the Hamilton product, the square walks and the set-member walk.
+# run the Hamilton product, the square walks and the set-member walk;
+# the squares candidates there take the longest member walk, 55,109
+# squares up to isqrt(2**63 - 1), of which 27,554 indices pass.
 # oracle and check parse the --m/--quad/--set arguments they share
 # with solve; the CSV run joins the per-m codes of 19 chunks.  The
 # oracle at m = 999999 builds its largest table at its bound
@@ -36,6 +38,7 @@ foursq verify --theorem 1.3 --lo 0 --hi 2000 --chunk 16 --checkpoint ck.jsonl
 foursq reps --m 22
 foursq identities
 foursq candidates --m 9223372036854775807 --kind cubes
+test "$(foursq candidates --m 9223372036854775807 --kind squares | wc -w)" -eq 27554
 foursq oracle --m 150 --quad 1,1,2,4 --set cubes
 foursq oracle --m 999999 --quad 1,2,3,5 --set squares | grep -qx "oracle: x=-987 y=39 z=78 t=135 n=0"
 foursq check --m 22 --quad 1,1,2,4 --set cubes --x 4 --y -2 --z 1 --t 1

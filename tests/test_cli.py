@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import foursq
+from foursq import verifier
 from foursq.cli import main
 from foursq.solver import NINE_QUADRUPLES
 from foursq.verifier import THEOREM_IDS
@@ -142,6 +144,29 @@ class TestVerify:
                              str(tmp_path))
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    def test_dead_pool_worker_is_an_error_not_a_traceback(self, capsys,
+                                                          monkeypatch,
+                                                          tmp_path):
+        # Forked workers inherit the stub and die at their first chunk;
+        # the parent runs none of it.
+        parent = os.getpid()
+
+        def die_in_worker(theorem, start, end):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("a chunk ran in the parent")
+
+        monkeypatch.setattr(verifier, "_run_chunk", die_in_worker)
+        cp = str(tmp_path / "v.ckpt")
+        code, out, err = run(capsys, "verify", "--theorem", "1.1",
+                             "--lo", "0", "--hi", "64", "--chunk", "16",
+                             "--workers", "2", "--checkpoint", cp)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"--checkpoint {cp} to resume" in err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_threads_variable_is_named(self, capsys, monkeypatch, value):

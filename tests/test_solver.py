@@ -305,6 +305,22 @@ class TestMasks:
                               if idx // (l * l) == a}))
                 for a in range(l))
 
+    def test_search_invariants_of_accepted_quadruples(self):
+        # The descent takes a remainder's splits without asking whether
+        # its A-plane is empty, and `_naturalize` flips only c and d: both
+        # rest on these facts about every quadruple `_as_quad` accepts
+        # (the nine and the rule sources, 18 distinct, 10,334 planes).
+        accepted = dict.fromkeys(list(NINE_QUADRUPLES) + [
+            r.source for r in solver.builtin_rules()])
+        planes_seen = 0
+        for quad in accepted:
+            assert quad.a and quad.b, quad
+            for n in range(quad.l):
+                _, planes = _residues.masks_for(tuple(quad), quad.l, n)
+                assert all(planes), (quad, n)
+                planes_seen += len(planes)
+        assert (len(accepted), planes_seen) == (18, 10_334)
+
     @staticmethod
     def every_table():
         for quad in NINE_QUADRUPLES:
@@ -693,17 +709,30 @@ class TestAdmissibleN:
         lm = q.l * m
         out = admissible_n(m, quad, ts)
         assert out == sorted(set(out))
-        for n in ts.members_upto(isqrt(lm)):
+        for n in self.members_to(ts, isqrt(lm)):
             r = lm - n * n
             expected = is_three_square(r) and self.passes_filter(q, n, r)
             assert (n in out) == expected, (m, tuple(q), ts, n)
+
+    # The k-th member of each value set, k = 0, 1, ...
+    power = {TargetSet.SQUARES: lambda k: k * k,
+             TargetSet.CUBES: lambda k: k ** 3,
+             TargetSet.POW2: lambda k: 1 << k}
+
+    def members_to(self, ts, hi):
+        """The members <= hi, ascending, from the power map."""
+        power, out = self.power[ts], []
+        while power(len(out)) <= hi:
+            out.append(power(len(out)))
+        return out
 
     def bounded_stream(self, m, quad, ts, natural):
         """The candidate stream over the members <= isqrt(l*m): filtered
         values first, then the rest, each ascending (descending if natural)."""
         lm = quad.l * m
         head, tail = [], []
-        for n in ts.members_upto(isqrt(lm), descending=natural):
+        members = self.members_to(ts, isqrt(lm))
+        for n in members[::-1] if natural else members:
             r = lm - n * n
             if is_three_square(r):
                 (head if self.passes_filter(quad, n, r) else tail).append(n)
@@ -716,13 +745,10 @@ class TestAdmissibleN:
         # isqrt(l*INT64_MAX).  A squares list near the top has about 1e5
         # members, so there only the last member and INT64_MAX are taken,
         # for every third quadruple.
-        member = {TargetSet.SQUARES: lambda k: k * k,
-                  TargetSet.CUBES: lambda k: k ** 3,
-                  TargetSet.POW2: lambda k: 1 << k}
         checked = 0
         for i, quad in enumerate(NINE_QUADRUPLES):
             l = quad.l
-            for ts, power in member.items():
+            for ts, power in self.power.items():
                 top = 0
                 while power(top + 1) ** 2 <= l * INT64_MAX:
                     top += 1
@@ -746,22 +772,19 @@ class TestAdmissibleN:
                             == self.bounded_stream(m, quad, ts, True)
         assert checked > 800
 
-    def test_members_upto(self):
+    def test_members(self):
         for ts in TargetSet:
             for hi in itertools.chain(range(-2, 300), (10**9 + 7, 10**10)):
-                asc = list(ts.members_upto(hi))
+                asc = list(itertools.takewhile(hi.__ge__, ts.members()))
                 if hi < 300:
                     assert asc == [n for n in range(hi + 1) if ts.contains(n)]
                 else:
                     # Consecutive members, ending at the last one <= hi.
                     k = len(asc) - 1
-                    step = {TargetSet.SQUARES: lambda j: j * j,
-                            TargetSet.CUBES: lambda j: j ** 3,
-                            TargetSet.POW2: lambda j: 1 << j}[ts]
+                    step = self.power[ts]
                     assert asc[:3] + asc[-3:] == \
                         [step(j) for j in (0, 1, 2, k - 2, k - 1, k)]
                     assert asc[-1] <= hi < step(k + 1)
-                assert list(ts.members_upto(hi, descending=True)) == asc[::-1]
 
 
 class TestCandidateSet:
