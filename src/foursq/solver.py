@@ -536,7 +536,7 @@ def _scan_b_vector(rem: int, bhi: int, blo: int, l: int,
 
 
 def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
-                       l: Optional[int] = None) -> Iterator[RestrictedSolution]:
+                       l: int) -> Iterator[RestrictedSolution]:
     """Yield solutions at value n in the deterministic enumeration order.
 
     Canonical triples A >= B >= C >= 0 with A**2+B**2+C**2 = l*m - n**2 are
@@ -548,11 +548,9 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     only its leading B > A are skipped; past it, an A whose remainder is
     not a sum of two squares has no split, so `_two_square_possible` skips
     its scan, and long B-scans run in numpy.  The class of (A, B, C) mod l
-    then gives each split's valid variants.  l, when given, is quad.l.
+    then gives each split's valid variants.  l is quad.l.
     """
     a, b, c, d = quad
-    if l is None:
-        l = quad.l
     big_r = l * m - n * n
     if not is_three_square(big_r):
         return
@@ -677,8 +675,12 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
 
     Returns None when no solution exists at this value n.  With
     natural=True, only solutions with all coordinates nonnegative are
-    accepted (coordinates at zero coefficients may be freely flipped), and
-    the first of them is found in the natural box when that is small.
+    accepted (coordinates at zero coefficients may be freely flipped).
+    One chain picks the solution: a plain solve takes the descent's first;
+    a natural solve returns None below the min-coefficient bound, else
+    walks the natural box when that is small, else takes the descent's
+    first solution that naturalizes.  The norm and the linear form of the
+    pick are then checked once.
     """
     q = _as_quad(quad)
     if not 0 <= m <= INT64_MAX:
@@ -688,37 +690,31 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
     l = _NORMS.get(q) or q.l
     if n * n > l * m:
         raise ValueError(f"n**2 = {n * n} exceeds l*m = {l * m}")
-    if natural:
+    if not natural:
+        sol = next(_descent_solutions(m, n, q, l), None)
+    elif min(q) > 0 and n * n < min(q) ** 2 * m:
         # With every coefficient positive a natural solution has
         # n >= min(q) * (x+y+z+t) >= min(q) * sqrt(m), so none exists below.
-        if min(q) > 0 and n * n < min(q) ** 2 * m:
-            return None
-        # Walk the natural box when it has no more cells than the descent
-        # has A values to visit, about sqrt(l*m - n**2).
-        order = _BOX_ORDER.get(q)
-        if order and ((n // q[order[0]] + 1) * (n // q[order[1]] + 1)
-                      <= isqrt(l * m - n * n)):
-            nat = _natural_box(m, n, q)
-            if nat is not None:
-                _validate(nat, m, q)
-            return nat
-    for sol in _descent_solutions(m, n, q, l):
-        if not natural:
-            _validate(sol, m, q)
-            return sol
-        nat = _naturalize(sol, q)
-        if nat is not None:
-            _validate(nat, m, q)
-            return nat
-    return None
-
-
-def _validate(sol: RestrictedSolution, m: int, quad: SystemQuadruple) -> None:
-    x, y, z, t, n = sol
-    if x * x + y * y + z * z + t * t != m:  # pragma: no cover
-        raise AssertionError(f"certificate norm mismatch: {sol} vs m={m}")
-    if quad.linear_form(x, y, z, t) != n:  # pragma: no cover
-        raise AssertionError(f"certificate linear form mismatch: {sol}")
+        return None
+    elif (order := _BOX_ORDER.get(q)) and (
+            (n // q[order[0]] + 1) * (n // q[order[1]] + 1)
+            <= isqrt(l * m - n * n)):
+        # The natural box has no more cells than the descent has A values
+        # to visit, about sqrt(l*m - n**2).
+        sol = _natural_box(m, n, q)
+    else:
+        sol = None
+        for raw in _descent_solutions(m, n, q, l):
+            sol = _naturalize(raw, q)
+            if sol is not None:
+                break
+    if sol is not None:
+        x, y, z, t, _ = sol
+        if x * x + y * y + z * z + t * t != m:
+            raise AssertionError(f"certificate norm mismatch: {sol} vs m={m}")
+        if q.linear_form(x, y, z, t) != n:
+            raise AssertionError(f"certificate linear form mismatch: {sol}")
+    return sol
 
 
 # --------------------------------------------------------------------------

@@ -111,43 +111,34 @@ def _reduce_full(m: int, theorem: str) -> tuple[int, int]:
     return m, f
 
 
-def _verify_windowed(m: int, theorem: str) -> tuple[bool, str]:
-    """Natural solution with a square value n**2 in the fourth-root window."""
-    quad, lo, _, _ = _WINDOWS[theorem]
-    lo4 = lo * m
-    hi4 = quad.l * m
-    r = iroot(lo4, 4)
-    nlo = r if r ** 4 == lo4 else r + 1
-    nhi = iroot(hi4, 4)
-    tried = []
-    for nn in range(nlo, nhi + 1):
-        rem = hi4 - nn ** 4
-        if theorem == "1.4a":
-            if nn % 3 == 0:
-                continue
-        elif rem % 3 == 1:
-            continue
-        if not is_three_square(rem):
-            continue
-        tried.append(nn)
-        sol = solve_linear_system(m, nn * nn, quad, natural=True)
-        if sol is not None:
-            if not check_solution(m, quad, TargetSet.SQUARES, sol):
-                return False, f"certificate failed revalidation: {tuple(sol)}"
-            return True, ""
-    return False, (f"no natural solution with square value in window "
-                   f"n in [{nlo},{nhi}], tried n={tried}")
-
-
 def _verify_one(m: int, theorem: str) -> tuple[str, list[dict]]:
     """Outcome code for one m: V (verified), R (reduced/skipped), F (failed)."""
     if theorem in _WINDOWS:
         if m % 16 == 0:
             return "R", []
-        ok, trace = _verify_windowed(m, theorem)
-        if ok:
-            return "V", []
-        quad = _WINDOWS[theorem].quad
+        # A natural solution with value n**2, n in the fourth-root window.
+        quad, lo, _, _ = _WINDOWS[theorem]
+        lo4 = lo * m
+        hi4 = quad.l * m
+        r = iroot(lo4, 4)
+        nlo = r if r ** 4 == lo4 else r + 1
+        nhi = iroot(hi4, 4)
+        tried = []
+        for nn in range(nlo, nhi + 1):
+            rem = hi4 - nn ** 4
+            skip = nn % 3 == 0 if theorem == "1.4a" else rem % 3 == 1
+            if skip or not is_three_square(rem):
+                continue
+            tried.append(nn)
+            sol = solve_linear_system(m, nn * nn, quad, natural=True)
+            if sol is not None:
+                if check_solution(m, quad, TargetSet.SQUARES, sol):
+                    return "V", []
+                trace = f"certificate failed revalidation: {tuple(sol)}"
+                break
+        else:
+            trace = (f"no natural solution with square value in window "
+                     f"n in [{nlo},{nhi}], tried n={tried}")
         return "F", [{"m": m, "quad": list(quad), "trace": trace}]
     spec = _THEOREMS[theorem]
     m2, f = _reduce_full(m, theorem)
@@ -373,10 +364,12 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
             if _stop_after_chunks is not None and completed >= _stop_after_chunks:
                 raise _SimulatedInterrupt(f"stopped after {completed} chunks")
     else:
-        # Never fewer tasks than workers; at most two tasks per worker in
-        # flight, so the parent holds few futures however long the range.
-        per = max(1, min(_TASK_M // job.chunk, npending // workers))
-        size = min(workers, npending)
+        # The pool starts all its processes at the first submit, so it is
+        # sized by the work and the CPUs.  Never fewer tasks than processes;
+        # at most two tasks per process in flight, so the parent holds few
+        # futures however long the range.
+        size = min(workers, npending, os.cpu_count() or 1)
+        per = max(1, min(_TASK_M // job.chunk, npending // size))
         # Tasks of `per` consecutive pending chunks, cut as they are sent.
         queued = iter(lambda: list(itertools.islice(pending, per)), [])
         executor = ProcessPoolExecutor(max_workers=size,

@@ -22,7 +22,10 @@
 # 2**63 - 1 exits 3 before any chunk runs, and so does --workers 0.
 # reps exits 3 past 2**63 - 1 and 2 past its work bound of 10**6.
 # The natural box decides (2,2,3,0)/pow2 at 10**9 + 7 (no natural
-# solution, exit 1) at once, where the descent took seconds.
+# solution, exit 1) at once, where the descent took seconds.  Three
+# solves print the pick of each branch of the chain in
+# solve_linear_system: the natural box, the first natural solution of
+# the descent, and the plain descent's first at a pinned n.
 # A 2-worker checkpointed run at chunk 16 (16 chunks to a pool task,
 # one journal save per task), its resume from the finished journal
 # and a 1-worker run write the same CSV.  So do 2 and 1 workers over
@@ -49,6 +52,9 @@ code=0; foursq verify --theorem 1.1 --lo 0 --hi 20 --workers 0 || code=$?; test 
 code=0; foursq reps --m 100000000000000000000000 || code=$?; test "$code" -eq 3
 code=0; foursq reps --m 1000001 || code=$?; test "$code" -eq 2
 code=0; foursq solve --m 1000000007 --quad 2,2,3,0 --set pow2 --natural || code=$?; test "$code" -eq 1
+foursq solve --m 52 --quad 1,1,2,5 --set squares --natural | grep -qx "x=0 y=4 z=6 t=0 n=16"
+foursq solve --m 39 --quad 1,2,3,5 --set squares --natural | grep -qx "x=1 y=1 z=1 t=6 n=36"
+foursq solve --m 1000 --quad 1,2,3,5 --set pow2 --n 8 | grep -qx "x=26 y=-16 z=8 t=-2 n=8"
 foursq verify --theorem 1.3 --lo 0 --hi 4096 --chunk 16 --workers 2 --checkpoint ck2.jsonl --format csv > pool.csv
 foursq verify --theorem 1.3 --lo 0 --hi 4096 --chunk 16 --workers 2 --checkpoint ck2.jsonl --format csv > resumed.csv
 foursq verify --theorem 1.3 --lo 0 --hi 4096 --chunk 16 --workers 1 --format csv > serial.csv

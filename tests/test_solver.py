@@ -128,7 +128,7 @@ class TestSolveLinearSystem:
             q = SystemQuadruple(*quad)
             for m in range(41):
                 for n in range(isqrt(q.l * m) + 1):
-                    got = list(solver._descent_solutions(m, n, q))
+                    got = list(solver._descent_solutions(m, n, q, q.l))
                     assert got == list(reference_solutions(m, n, quad)), \
                         (tuple(quad), m, n)
 
@@ -165,10 +165,43 @@ class TestSolveLinearSystem:
             sol = RestrictedSolution(*coords, q.linear_form(*coords))
             assert solver._naturalize(sol, q) is None, coords
 
+    # One case per branch of the chain that picks a solution: (m, n, quad,
+    # natural, the seam it is picked from, the solution it picks).
+    CHAIN_BRANCHES = {
+        "plain": (1000, 8, (1, 2, 3, 5), False, "_descent_solutions",
+                  (26, -16, 8, -2)),
+        "natural-descent": (39, 36, (1, 2, 3, 5), True, "_descent_solutions",
+                            (1, 1, 1, 6)),
+        "natural-box": (52, 16, (1, 1, 2, 5), True, "_natural_box",
+                        (0, 4, 6, 0)),
+    }
+
+    @pytest.mark.parametrize("fault", ["norm", "form"])
+    @pytest.mark.parametrize("branch", CHAIN_BRANCHES)
+    def test_wrong_certificate_raises(self, monkeypatch, branch, fault):
+        m, n, quad, natural, seam, picked = self.CHAIN_BRANCHES[branch]
+        assert solve_linear_system(m, n, quad, natural=natural) == \
+            (*picked, n)
+        x, y, z, t = picked
+        a, b = quad[:2]
+        # (b, -a, 0, 0) keeps the linear form and moves the norm; the
+        # reversed tuple keeps the norm and moves the form.  Both stay
+        # natural where the pick is.
+        bad = RestrictedSolution(
+            *((x + b, y - a, z, t) if fault == "norm" else (t, z, y, x)), n)
+        calls = []
+        monkeypatch.setattr(solver, seam, lambda *args: calls.append(args)
+                            or (bad if seam == "_natural_box" else iter([bad])))
+        message = {"norm": "norm", "form": "linear form"}[fault]
+        with pytest.raises(AssertionError,
+                           match=f"certificate {message} mismatch"):
+            solve_linear_system(m, n, quad, natural=natural)
+        assert len(calls) == 1
+
 
 def descent_natural(m, n, quad):
     """The first naturalized solution of the descent at n, or None."""
-    for sol in solver._descent_solutions(m, n, quad):
+    for sol in solver._descent_solutions(m, n, quad, quad.l):
         nat = solver._naturalize(sol, quad)
         if nat is not None:
             return nat
@@ -453,7 +486,7 @@ class TestVectorScan:
                 lm = quad.l * m
                 n = three_square_below(lm, isqrt(lm) - 1000)
                 out.append(list(itertools.islice(
-                    solver._descent_solutions(m, n, quad), 200)))
+                    solver._descent_solutions(m, n, quad, quad.l), 200)))
             return out
 
         default = first_solutions()
@@ -546,7 +579,8 @@ class TestTwoSquarePrefilter:
                         ns.append(isqrt(lm))
                     for n in ns:
                         out.append(list(itertools.islice(
-                            solver._descent_solutions(m, n, quad), 300)))
+                            solver._descent_solutions(m, n, quad, quad.l),
+                            300)))
             return out
 
         monkeypatch.setattr(solver, "_two_square_possible", counting)
@@ -622,7 +656,7 @@ class TestTwoSquareTable:
 
         def first_solutions():
             return [list(itertools.islice(
-                        solver._descent_solutions(m, n, quad), 300))
+                        solver._descent_solutions(m, n, quad, quad.l), 300))
                     for quad in NINE_QUADRUPLES for m in self.SCALES
                     for n in self.cases(m, quad)]
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -335,24 +336,57 @@ class TestPoolSize:
         job = VerificationJob("1.3", 0, 32, chunk=16)
         assert verify_theorem(job, workers=2)["verified"] == 32
 
-    def test_pool_never_larger_than_pending_chunks(self, monkeypatch):
-        # The pool forks all of its workers at the first submit, so it must
-        # be sized by the work, not by the requested worker count.  The
-        # assertion runs before the real pool exists: a violation starts
-        # no process.
+    @staticmethod
+    def pool_sizes(monkeypatch, job, cpus, bound):
+        """Run job with 500 workers on `cpus` CPUs; the sizes of its pools.
+
+        The pool forks all of its workers at the first submit, so its
+        size is checked before the real pool exists: a size above bound
+        starts no process.  The report must equal the serial one.
+        """
         sizes = []
 
         class CheckedPool(verifier.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
-                assert max_workers <= 2
+                assert max_workers <= bound
                 super().__init__(max_workers=max_workers, **kwargs)
 
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(verifier, "ProcessPoolExecutor", CheckedPool)
+        report = verify_theorem(job, workers=500, include_codes=True)
+        serial = verify_theorem(job, workers=1, include_codes=True)
+        assert report["codes"] == serial["codes"]
+        assert canonical_report_bytes(report) == canonical_report_bytes(serial)
+        return sizes
+
+    def test_pool_never_larger_than_pending_chunks(self, monkeypatch):
         job = VerificationJob("1.1", 0, 32, chunk=16)
-        report = verify_theorem(job, workers=500)
-        assert sizes == [2]
-        serial = verify_theorem(job, workers=1)
+        assert self.pool_sizes(monkeypatch, job, cpus=4, bound=2) == [2]
+
+    def test_pool_never_larger_than_the_cpu_count(self, monkeypatch):
+        # 64 one-m chunks would otherwise fork 64 processes.
+        job = VerificationJob("1.1", 0, 64, chunk=1)
+        assert self.pool_sizes(monkeypatch, job, cpus=3, bound=3) == [3]
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_reports_equal_under_every_start_method(self, monkeypatch,
+                                                     method):
+        # Workers that do not fork import the package afresh and build
+        # their own tables; the report must not change.
+        contexts = []
+
+        class ContextPool(verifier.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                contexts.append(multiprocessing.get_context(method))
+                super().__init__(*args, mp_context=contexts[-1], **kwargs)
+
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", ContextPool)
+        job = VerificationJob("1.1", 10**12, 10**12 + 64, chunk=8)
+        report = verify_theorem(job, workers=2, include_codes=True)
+        assert len(contexts) == 1
+        serial = verify_theorem(job, workers=1, include_codes=True)
+        assert report["codes"] == serial["codes"]
         assert canonical_report_bytes(report) == canonical_report_bytes(serial)
 
     def test_at_most_two_tasks_per_worker_in_flight(self, monkeypatch):
