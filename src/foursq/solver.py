@@ -207,8 +207,7 @@ class TransformationRule:
     pairs: tuple[RulePair, ...]
 
 
-def _Q(a1: int, a2: int, a3: int, a4: int) -> Quaternion:
-    return Quaternion(a1, a2, a3, a4)
+_Q = Quaternion
 
 
 def _make_rule(case: int, source: Sequence[int], target: Sequence[int],
@@ -245,18 +244,10 @@ _CASE3_VS = (_Q(1, -1, -1, 0), _Q(1, -1, 1, 0), _Q(1, 1, 1, 0), _Q(1, 1, -1, 0))
 _CASE3_CONGRUENCES = ((1, -1, -1, 0), (1, -1, 1, 0), (1, -1, 0, 1), (1, -1, 0, -1))
 
 
-def _case2_pairs(coeffs: Sequence[Quaternion]) -> tuple[RulePair, ...]:
-    return tuple(
-        RulePair(u, u, bp, cong)
-        for u, bp, cong in zip(_CASE23_US, coeffs, _CASE2_CONGRUENCES)
-    )
-
-
-def _case3_pairs(coeffs: Sequence[Quaternion]) -> tuple[RulePair, ...]:
-    return tuple(
-        RulePair(u, v, bp, cong)
-        for u, v, bp, cong in zip(_CASE23_US, _CASE3_VS, coeffs, _CASE3_CONGRUENCES)
-    )
+def _case23_pairs(vs: Sequence[Quaternion],
+                  congruences: Sequence[tuple[int, int, int, int]],
+                  coeffs: Sequence[Quaternion]) -> tuple[RulePair, ...]:
+    return tuple(map(RulePair, _CASE23_US, vs, coeffs, congruences))
 
 
 # Case 4: sources (a, a, a, b) with norm divisible by 5.  Each branch's new
@@ -280,36 +271,27 @@ _CASE4_TARGETS = {
 
 
 def _case4_pairs(a: int, b: int) -> tuple[RulePair, ...]:
-    for num in (a + 4 * b, 7 * a - 2 * b, 3 * a + 2 * b, 4 * a + b):
-        if num % 5:
-            raise AssertionError(f"source ({a},{a},{a},{b}) is not reducible mod 5")
-    comps = ((a + 4 * b) // 5, (7 * a - 2 * b) // 5, (3 * a + 2 * b) // 5,
-             (4 * a + b) // 5)
-    out = []
-    for u, v, layout, cong in _CASE4_SLOTS:
-        bp = _Q(comps[layout[0]], comps[layout[1]], comps[layout[2]], comps[3])
-        out.append(RulePair(u, v, bp, cong))
-    return tuple(out)
+    nums = (a + 4 * b, 7 * a - 2 * b, 3 * a + 2 * b, 4 * a + b)
+    if any(num % 5 for num in nums):
+        raise AssertionError(f"source ({a},{a},{a},{b}) is not reducible mod 5")
+    comps = [num // 5 for num in nums]
+    return tuple(RulePair(u, v, _Q(comps[i], comps[j], comps[k], comps[3]), cong)
+                 for u, v, (i, j, k), cong in _CASE4_SLOTS)
 
 
 # Case 5: a single identity; the six branches differ only in which symmetry
 # of the source coefficients (1,1,1,6) is applied to the solution first.
-_CASE5_BRANCHES = (
-    ((0, 1, 2), (0, 1, -1, 1)),
-    ((1, 2, 0), (-1, 0, 1, 1)),
-    ((2, 0, 1), (1, -1, 0, 1)),
-    ((0, 2, 1), (0, -1, 1, 1)),
-    ((2, 1, 0), (-1, 1, 0, 1)),
-    ((1, 0, 2), (1, 0, -1, 1)),
-)
-
-
-def _case5_pairs() -> tuple[RulePair, ...]:
-    u = _Q(1, 1, 1, 0)
-    bp = _Q(1, -3, 5, -2)
-    return tuple(
-        RulePair(u, u, bp, cong, perm) for perm, cong in _CASE5_BRANCHES
+_CASE5_PAIRS = tuple(
+    RulePair(_Q(1, 1, 1, 0), _Q(1, 1, 1, 0), _Q(1, -3, 5, -2), cong, perm)
+    for perm, cong in (
+        ((0, 1, 2), (0, 1, -1, 1)),
+        ((1, 2, 0), (-1, 0, 1, 1)),
+        ((2, 0, 1), (1, -1, 0, 1)),
+        ((0, 2, 1), (0, -1, 1, 1)),
+        ((2, 1, 0), (-1, 1, 0, 1)),
+        ((1, 0, 2), (1, 0, -1, 1)),
     )
+)
 
 
 @lru_cache(maxsize=1)
@@ -317,18 +299,22 @@ def builtin_rules() -> tuple[TransformationRule, ...]:
     """The built-in transformation rules, identity-checked at construction."""
     rules = [
         _make_rule(1, (2, 3, 3, 0), (1, 1, 2, 4), 5, _CASE1_PAIRS),
-        _make_rule(2, (1, 3, 0, 0), (1, 1, 2, 2), 3, _case2_pairs(
+        _make_rule(2, (1, 3, 0, 0), (1, 1, 2, 2), 3, _case23_pairs(
+            _CASE23_US, _CASE2_CONGRUENCES,
             (_Q(1, 1, 2, 2), _Q(1, 1, -2, -2), _Q(1, 1, -2, 2), _Q(1, 1, 2, -2)))),
-        _make_rule(2, (2, 3, 0, 0), (1, 2, 2, 2), 3, _case2_pairs(
+        _make_rule(2, (2, 3, 0, 0), (1, 2, 2, 2), 3, _case23_pairs(
+            _CASE23_US, _CASE2_CONGRUENCES,
             (_Q(2, 1, 2, 2), _Q(2, 1, -2, -2), _Q(2, 1, -2, 2), _Q(2, 1, 2, -2)))),
-        _make_rule(3, (1, 4, 0, 0), (2, 2, 3, 0), 3, _case3_pairs(
+        _make_rule(3, (1, 4, 0, 0), (2, 2, 3, 0), 3, _case23_pairs(
+            _CASE3_VS, _CASE3_CONGRUENCES,
             (_Q(-3, 2, -2, 0), _Q(-3, 2, 2, 0), _Q(3, -2, 0, 2), _Q(3, -2, 0, -2)))),
-        _make_rule(3, (2, 5, 0, 0), (2, 3, 4, 0), 3, _case3_pairs(
+        _make_rule(3, (2, 5, 0, 0), (2, 3, 4, 0), 3, _case23_pairs(
+            _CASE3_VS, _CASE3_CONGRUENCES,
             (_Q(-4, 3, -2, 0), _Q(-4, 3, 2, 0), _Q(4, -3, 0, 2), _Q(4, -3, 0, -2)))),
     ]
     for (a, b), target in _CASE4_TARGETS.items():
         rules.append(_make_rule(4, (a, a, a, b), target, 5, _case4_pairs(a, b)))
-    rules.append(_make_rule(5, (1, 1, 1, 6), (1, 2, 3, 5), 3, _case5_pairs()))
+    rules.append(_make_rule(5, (1, 1, 1, 6), (1, 2, 3, 5), 3, _CASE5_PAIRS))
     for rule in rules:
         if len(four_square_reps(rule.source.l)) != 2:
             raise AssertionError(
@@ -403,21 +389,17 @@ def _normalize_to(raw: tuple[int, int, int, int], coeffs: Quaternion,
     """Rearrange a solution of `coeffs` into one of the canonical target.
 
     Negating a coordinate absorbs a negative coefficient; coordinates are
-    then matched to target positions by coefficient magnitude (first unused
-    match wins), which keeps the result deterministic.
+    then matched to target positions by coefficient magnitude.  Stable
+    sorts of the coordinates by |coefficient| and of the target positions
+    by coefficient pair the k-th coordinate of each magnitude with its k-th
+    target position: the first-unused match taken position by position,
+    which keeps the result deterministic.  Every position is matched,
+    because `_make_rule` has checked that both magnitude multisets are equal.
     """
-    vals = [s if c >= 0 else -s for s, c in zip(raw, coeffs)]
-    mags = [abs(c) for c in coeffs]
-    used = [False] * 4
-    out = []
-    for tc in target:
-        for i in range(4):
-            if not used[i] and mags[i] == tc:
-                used[i] = True
-                out.append(vals[i])
-                break
-        else:  # pragma: no cover - construction guarantees matching classes
-            raise AssertionError("coefficient multiset mismatch")
+    out = [0] * 4
+    for i, pos in zip(sorted(range(4), key=lambda j: abs(coeffs[j])),
+                      sorted(range(4), key=target.__getitem__)):
+        out[pos] = raw[i] if coeffs[i] >= 0 else -raw[i]
     return tuple(out)
 
 

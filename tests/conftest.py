@@ -2,10 +2,12 @@
 
 Prints a one-line PASS/FAIL summary per acceptance criterion at the end of
 the run, so the acceptance gate is readable without digging through the
-full log, and ends the run when one test runs past a ceiling.
+full log, ends the run when one test runs past a ceiling, and gives tests
+that stub a pool worker's code a pool that forks.
 """
 
 import faulthandler
+import multiprocessing
 import os
 import re
 import sys
@@ -33,6 +35,25 @@ def pytest_runtest_call(item):
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def fork_pool(monkeypatch):
+    """Make `verify_theorem`'s pool fork its workers, whatever the default.
+
+    A `verifier._run_chunk` replaced in this process reaches only workers
+    forked from it; under forkserver or spawn they import the real one.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is not available")
+    from foursq import verifier
+
+    class ForkPool(verifier.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs,
+                             mp_context=multiprocessing.get_context("fork"))
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", ForkPool)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from foursq.arith import (
     four_square_reps,
     iroot,
+    is_square,
     is_three_square,
     ord2,
     three_square_reps,
@@ -69,12 +70,20 @@ class TestIroot:
         with pytest.raises(ValueError):
             iroot(-1, 2)
 
+    def test_zero_exponent_rejected(self):
+        with pytest.raises(ValueError, match="exponent"):
+            iroot(8, 0)
+
 
 class TestIsThreeSquare:
     def test_examples(self):
         assert not is_three_square(7)
         assert not is_three_square(28)
         assert is_three_square(0)
+
+    def test_negatives_are_not_sums_of_squares(self):
+        assert is_square(-4) is False
+        assert is_three_square(-1) is False
 
     def test_against_exhaustive_search(self):
         limit = 10**4
@@ -125,6 +134,7 @@ class TestFourSquareReps:
         assert set(four_square_reps(22)) == {(3, 3, 2, 0), (4, 2, 1, 1)}
         assert set(four_square_reps(39)) == {(6, 1, 1, 1), (5, 3, 2, 1)}
         assert four_square_reps(0) == [(0, 0, 0, 0)]
+        assert four_square_reps(-1) == []
 
     def test_two_representation_table(self):
         for l, expected in TWO_REP_TABLE.items():

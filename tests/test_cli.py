@@ -147,7 +147,8 @@ class TestVerify:
 
     def test_dead_pool_worker_is_an_error_not_a_traceback(self, capsys,
                                                           monkeypatch,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          fork_pool):
         # Forked workers inherit the stub and die at their first chunk;
         # the parent runs none of it.
         parent = os.getpid()

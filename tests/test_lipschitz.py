@@ -72,6 +72,9 @@ class TestConjNormRe:
     def test_norm_example(self):
         assert norm(Q(1, 1, 2, 4)) == 22
 
+    def test_str_signs_every_imaginary_part(self):
+        assert str(Q(1, -2, 0, 3)) == "1-2i+0j+3k"
+
     def test_re_of_solution_times_coefficients(self):
         # gamma = x - yi - zj - tk against beta = 2+3i+3j recovers the
         # linear form 2x+3y+3z in the real part.

@@ -826,6 +826,12 @@ class TestCandidateSet:
         assert candidate_set(17, "squares") == [0, 1, 2]
         assert candidate_set(7, "pow2") == [0, 1]
         assert candidate_set(7, "cubes") == [1]
+        assert candidate_set(-1, "squares") == []
+
+    def test_unknown_set_is_named(self):
+        with pytest.raises(ValueError,
+                           match=r"'primes' \(expected squares, cubes or pow2\)"):
+            TargetSet.parse("primes")
 
     def test_definitions(self):
         for M in range(0, 2000, 7):

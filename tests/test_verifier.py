@@ -244,6 +244,10 @@ class TestBounds:
         assert 3.739e9 < facts["1.4a"]["constant_upper"] < 3.74e9
         assert 7.678e9 < facts["1.4b"]["constant_upper"] < 7.68e9
 
+    def test_theorem_without_window_rejected(self):
+        with pytest.raises(ValueError, match="no window"):
+            window_length_ok(10**10, "1.1")
+
     def test_window_too_short_below_bound(self):
         assert window_length_ok(10**3, "1.4a") is False
         assert window_length_ok(10**3, "1.4b") is False
@@ -329,7 +333,8 @@ def _chunk_reporting_sigint(theorem, start, end):
 
 
 class TestPoolSize:
-    def test_pool_workers_leave_ctrl_c_to_the_parent(self, monkeypatch):
+    def test_pool_workers_leave_ctrl_c_to_the_parent(self, monkeypatch,
+                                                      fork_pool):
         # Ctrl-C reaches every process of the group; an idle worker that
         # took it would print a KeyboardInterrupt traceback.
         monkeypatch.setattr(verifier, "_run_chunk", _chunk_reporting_sigint)
@@ -469,7 +474,8 @@ class TestParentMemory:
         assert report["codes"] == "V" * 10**6 and csv_peak > 10**6
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pending_chunks_are_not_listed(self, monkeypatch, workers):
+    def test_pending_chunks_are_not_listed(self, monkeypatch, workers,
+                                          fork_pool):
         # At chunk 1, a list of every pending chunk (or of every pool task)
         # costs about 40 bytes per m: 2 MB more at 6*10**4 m than at 10**4.
         monkeypatch.setattr(verifier, "_run_chunk", _all_verified)
@@ -501,7 +507,8 @@ class TestParentMemory:
             assert big - small < 500_000, peaks
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_failures_in_m_order(self, monkeypatch, workers):
+    def test_first_failures_in_m_order(self, monkeypatch, workers,
+                                      fork_pool):
         # Pool tasks finish out of order; the failures reported must still
         # be the first _FAILURE_CAP by m.
         monkeypatch.setattr(verifier, "_run_chunk", _all_failed)
@@ -510,7 +517,7 @@ class TestParentMemory:
         assert report["failed"] == 1000
         assert [f["m"] for f in report["failures"]] == list(range(100))
 
-    def test_cap_falls_inside_one_m(self, monkeypatch):
+    def test_cap_falls_inside_one_m(self, monkeypatch, fork_pool):
         # Three failures per m: the 100th is the first of m = 33, so the
         # report must cut inside that m and keep (m, quad) order.
         monkeypatch.setattr(verifier, "_run_chunk", _three_failures_per_m)
