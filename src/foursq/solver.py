@@ -530,12 +530,12 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     only its leading B > A are skipped; past it, an A whose remainder is
     not a sum of two squares has no split, so `_two_square_possible` skips
     its scan, and long B-scans run in numpy.  The class of (A, B, C) mod l
-    then gives each split's valid variants.  l is quad.l.
+    then gives each split's valid variants.  l is quad.l, and callers pass
+    only n with l*m - n**2 a sum of three squares (at any other n the walk
+    finds no triple, only later).
     """
     a, b, c, d = quad
     big_r = l * m - n * n
-    if not is_three_square(big_r):
-        return
     mask, planes = _residues.masks_for(quad, l, n % l)
     mask_get = mask.get
     A = isqrt(big_r)
@@ -651,27 +651,14 @@ def _check_m(m: int, name: str = "m") -> None:
         raise ArithmeticRangeError(f"{name}={m} exceeds signed 64-bit range")
 
 
-def solve_linear_system(m: int, n: int, quad: Sequence[int],
-                        natural: bool = False) -> Optional[RestrictedSolution]:
-    """First solution of x**2+..+t**2 = m, ax+..+dt = n in enumeration order.
-
-    Returns None when no solution exists at this value n.  With
-    natural=True, only solutions with all coordinates nonnegative are
-    accepted (coordinates at zero coefficients may be freely flipped).
-    One chain picks the solution: a plain solve takes the descent's first;
-    a natural solve returns None below the min-coefficient bound, else
-    walks the natural box when that is small, else takes the descent's
-    first solution that naturalizes.  The norm and the linear form of the
-    pick are then checked once.
-    """
-    q = _as_quad(quad)
-    if not 0 <= m <= INT64_MAX:
-        _check_m(m)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    l = _NORMS.get(q) or q.l
-    if n * n > l * m:
-        raise ValueError(f"n**2 = {n * n} exceeds l*m = {l * m}")
+def _solve_at(m: int, n: int, q: SystemQuadruple, l: int,
+              natural: bool) -> Optional[RestrictedSolution]:
+    """The pick of both public solves at an n with l*m - n**2 a sum of
+    three squares, or None.  One chain picks the solution: a plain solve
+    takes the descent's first; a natural solve returns None below the
+    min-coefficient bound, else walks the natural box when that is small,
+    else takes the descent's first solution that naturalizes.  The norm and
+    the linear form of the pick are then checked once."""
     if not natural:
         sol = next(_descent_solutions(m, n, q, l), None)
     elif min(q) > 0 and n * n < min(q) ** 2 * m:
@@ -697,6 +684,29 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
         if q.linear_form(x, y, z, t) != n:
             raise AssertionError(f"certificate linear form mismatch: {sol}")
     return sol
+
+
+def solve_linear_system(m: int, n: int, quad: Sequence[int],
+                        natural: bool = False) -> Optional[RestrictedSolution]:
+    """First solution of x**2+..+t**2 = m, ax+..+dt = n in enumeration order.
+
+    Returns None when no solution exists at this value n.  With
+    natural=True, only solutions with all coordinates nonnegative are
+    accepted (coordinates at zero coefficients may be freely flipped).
+    The arguments are checked once, and an n with l*m - n**2 a sum of three
+    squares goes to `_solve_at`, the pick `solve_restricted` shares.
+    """
+    q = _as_quad(quad)
+    if not 0 <= m <= INT64_MAX:
+        _check_m(m)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    l = _NORMS.get(q) or q.l
+    if n * n > l * m:
+        raise ValueError(f"n**2 = {n * n} exceeds l*m = {l * m}")
+    if not is_three_square(l * m - n * n):
+        return None
+    return _solve_at(m, n, q, l, natural)
 
 
 # --------------------------------------------------------------------------
@@ -779,9 +789,10 @@ def solve_restricted(m: int, quad: Sequence[int],
                      n: Optional[int] = None) -> RestrictedSolution:
     """Solve the system with the linear form restricted to the target set.
 
-    Each candidate value n is solved by direct descent.  Values are tried in
-    ascending order: first the admissible values (those passing the residue
-    filter), then any remaining set members n with n**2 <= l*m and
+    The arguments are checked once; each candidate value n then goes to
+    `_solve_at`, the pick `solve_linear_system` shares.  Values are tried
+    in ascending order: first the admissible values (those passing the
+    residue filter), then any remaining set members n with n**2 <= l*m and
     l*m - n**2 a sum of three squares.  Passing n pins the value instead.
     Raises NoSolutionError with the full trace when every candidate fails,
     and ArithmeticRangeError when m exceeds the signed 64-bit range.
@@ -800,15 +811,20 @@ def solve_restricted(m: int, quad: Sequence[int],
     ts = TargetSet.parse(target_set)
     if not 0 <= m <= INT64_MAX:
         _check_m(m)
+    l = _NORMS[q]
     if n is None:
         values = _candidate_values(m, q, ts, natural)
-    elif ts.contains(n):
+    elif not ts.contains(n):
+        raise ValueError(f"n={n} is not in {ts.value}")
+    elif n * n > l * m:
+        raise ValueError(f"n**2 = {n * n} exceeds l*m = {l * m}")
+    elif is_three_square(l * m - n * n):
         values = (n,)
     else:
-        raise ValueError(f"n={n} is not in {ts.value}")
+        raise NoSolutionError(m, q, ts, (n,))
     tried = []
     for nv in values:
-        sol = solve_linear_system(m, nv, q, natural=natural)
+        sol = _solve_at(m, nv, q, l, natural)
         if sol is not None:
             return sol
         tried.append(nv)
@@ -823,6 +839,13 @@ def check_solution(m: int, quad: Sequence[int],
     ts = TargetSet.parse(target_set)
     if not 0 <= m <= INT64_MAX:
         _check_m(m)
+    return _solves(m, q, ts, sol)
+
+
+def _solves(m: int, q: SystemQuadruple, ts: TargetSet,
+            sol: RestrictedSolution) -> bool:
+    """`check_solution` without its argument checks, for callers that
+    have made them."""
     x, y, z, t, n = sol
     a, b, c, d = q
     return (

@@ -34,6 +34,7 @@ from .solver import (
     SystemQuadruple,
     TargetSet,
     _check_m,
+    _solves,
     check_solution,
     solve_linear_system,
     solve_restricted,
@@ -151,7 +152,7 @@ def _verify_one(m: int, theorem: str) -> tuple[str, list[dict]]:
             continue
         scaled = sol if f == 1 else RestrictedSolution(
             sol.x * f, sol.y * f, sol.z * f, sol.t * f, sol.n * f)
-        if not check_solution(m, quad, spec.target_set, scaled):
+        if not _solves(m, quad, spec.target_set, scaled):
             fails.append({"m": m, "quad": list(quad),
                           "trace": f"certificate failed revalidation: "
                                    f"{tuple(scaled)}"})

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import foursq
-from foursq import verifier
+from foursq import cli, verifier
 from foursq.cli import main
 from foursq.solver import NINE_QUADRUPLES
 from foursq.verifier import THEOREM_IDS
@@ -328,6 +328,26 @@ class TestSelfChecks:
         assert code == 0
         assert "bounds hold" in out
         assert "1.4a" in out and "1.4b" in out
+
+    def test_identities_failure_exits_one(self, capsys, monkeypatch):
+        suite = cli.identity_suite()
+        monkeypatch.setattr(cli, "identity_suite",
+                            lambda: [*suite, ("case 5: planted pair", False)])
+        code, out, err = run(capsys, "identities", "--verbose")
+        assert code == 1
+        assert "FAIL case 5: planted pair" in out
+        assert "case 5: 2 FAIL" in out
+        assert f"1 of {len(suite) + 1} identities failed" in out
+        assert "identities verified" not in out
+        assert "Traceback" not in out + err
+
+    def test_bounds_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_bounds", lambda: False)
+        code, out, err = run(capsys, "bounds")
+        assert code == 1
+        assert out.splitlines()[-1] == "bounds check FAILED"
+        assert "bounds hold" not in out
+        assert "Traceback" not in out + err
 
 
 def test_runtime_smoke_script(tmp_path):

@@ -165,6 +165,46 @@ class TestSolveLinearSystem:
             sol = RestrictedSolution(*coords, q.linear_form(*coords))
             assert solver._naturalize(sol, q) is None, coords
 
+    def test_naturalize_flips_z_on_a_rule_source(self):
+        # (1, 3, 0, 0) has c = d = 0, so its natural solves run the descent
+        # through `_naturalize`'s flips of z and t.  Each pick is one of the
+        # natural tuples of norm m at n, found by a scan, and is the first
+        # reference solution with x, y >= 0, its z and t made nonnegative.
+        # The flip of z first changes a pick at m = 65, n = 0.
+        q = SystemQuadruple(1, 3, 0, 0)
+        for m in range(81):
+            for n in range(isqrt(q.l * m) + 1):
+                scan = {(x, y, z, t)
+                        for x, y in ((n - 3 * y, y) for y in range(n // 3 + 1))
+                        for z in range(isqrt(m) + 1)
+                        if (t2 := m - x * x - y * y - z * z) >= 0
+                        and (t := isqrt(t2)) * t == t2}
+                first = next(((x, y, abs(z), abs(t), n) for x, y, z, t, _ in
+                              reference_solutions(m, n, q) if x >= 0 and y >= 0),
+                             None)
+                sol = solve_linear_system(m, n, q, natural=True)
+                assert sol == first, (m, n)
+                assert (sol is None) == (not scan), (m, n)
+                assert sol is None or tuple(sol[:4]) in scan, (m, n)
+
+    def test_three_square_gate_comes_first(self, monkeypatch):
+        # l*m - n**2 = 135 = 8*16 + 7 is not a sum of three squares, and a
+        # zero coefficient keeps the min-coefficient bound out of the way:
+        # the gate answers before the descent or the natural box is asked.
+        m, n, quad = 8, 1, (2, 2, 3, 0)
+        assert not is_three_square(17 * m - n * n)
+
+        def refuse(*args):
+            raise AssertionError("asked past the three-square gate")
+
+        monkeypatch.setattr(solver, "_descent_solutions", refuse)
+        monkeypatch.setattr(solver, "_natural_box", refuse)
+        for natural in (False, True):
+            assert solve_linear_system(m, n, quad, natural=natural) is None
+            with pytest.raises(NoSolutionError) as exc:
+                solve_restricted(m, quad, "squares", natural=natural, n=n)
+            assert exc.value.tried == (n,)
+
     # One case per branch of the chain that picks a solution: (m, n, quad,
     # natural, the seam it is picked from, the solution it picks).
     CHAIN_BRANCHES = {
@@ -1008,6 +1048,26 @@ class TestSolveRestricted:
             sol = solve_restricted(m, (1, 2, 3, 5), "squares", natural=True)
             assert all(v >= 0 for v in (sol.x, sol.y, sol.z, sol.t))
             assert check_solution(m, (1, 2, 3, 5), "squares", sol)
+
+    def test_same_picks_as_solve_linear_system(self):
+        # The search and the public per-n solve share one pick: the search
+        # returns the first solution the public solve finds along the
+        # candidate stream, and fails with that whole stream as its trace.
+        for m in range(301):
+            for quad in NINE_QUADRUPLES:
+                for ts in TargetSet:
+                    for natural in (False, True):
+                        stream = list(solver._candidate_values(m, quad, ts,
+                                                               natural))
+                        first = next(filter(None, (
+                            solve_linear_system(m, nv, quad, natural=natural)
+                            for nv in stream)), None)
+                        try:
+                            got = solve_restricted(m, quad, ts, natural=natural)
+                        except NoSolutionError as exc:
+                            assert first is None and exc.tried == tuple(stream)
+                        else:
+                            assert got == first, (m, tuple(quad), ts, natural)
 
     def test_natural_bound_decides_at_once(self):
         # All coefficients positive: a natural solution needs
