@@ -177,13 +177,6 @@ def _run_chunk(theorem: str, start: int, end: int) -> dict:
 _TASK_M = 256
 
 
-def _run_chunks(theorem: str, spans: list[tuple[int, int]]) -> list[dict]:
-    # _run_chunk is looked up as a module global at call time, so a
-    # replacement installed before the pool starts reaches the workers
-    # only under fork; spawned workers import the module afresh.
-    return [_run_chunk(theorem, s, e) for s, e in spans]
-
-
 @dataclass(frozen=True)
 class VerificationJob:
     """A verification range: theorem id, m in [lo, hi), chunking, checkpoint."""
@@ -202,6 +195,8 @@ class VerificationJob:
             raise ValueError("range must be nonnegative")
         if self.chunk < 1:
             raise ValueError("chunk size must be >= 1")
+        if self.checkpoint == "":
+            raise ValueError("checkpoint path must not be empty")
         if self.hi - 1 > INT64_MAX:
             _check_m(self.hi - 1)
 
@@ -251,53 +246,70 @@ def _load_checkpoint(path: str, job: VerificationJob,
     the file is missing.  Each chunk's record goes to ``absorb`` as its
     line is read, so no record outlives its line.
 
-    A torn last line is truncated away, so its chunk (or this job's header)
-    is redone; a complete line that fails its parse or digest is an error.
+    A torn (last) line is truncated away and redone, the header's
+    included; a torn first line that does not start this job's header, or
+    a complete line that fails its parse or digest, is an error.
     """
     if not os.path.exists(path):
         return set()
     key = _job_key(job)
     done: set[int] = set()
+    intact = 0  # bytes of the complete lines read so far
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        first = fh.readline()
-        if len(first) == size and _line(
-                {"job": key, "sha256": _digest(key)}).startswith(first):
-            intact = 0  # empty, or a first save cut inside the header
-        else:
-            ok, intact = False, 0
-            try:
-                for line in itertools.chain([first], fh):
-                    if not line.endswith(b"\n"):
-                        break  # a torn last line
-                    obj = json.loads(line)
-                    if intact == 0:
-                        header = obj["job"]
-                        ok = obj["sha256"] == _digest(header)
-                    else:
-                        ok = obj["sha256"] == _digest(
-                            {"job": header, "chunk": obj["chunk"],
-                             "rec": obj["rec"]})
-                        if ok and header == key and obj["chunk"] not in done:
-                            done.add(obj["chunk"])
-                            absorb(obj["chunk"], obj["rec"])
-                    if not ok:
-                        break
-                    intact += len(line)
-            except (ValueError, KeyError, TypeError, AttributeError):
-                ok = False
-            if not ok:
-                raise ValueError(f"checkpoint {path} failed its integrity check")
-            if header != key:
-                raise ValueError(f"checkpoint {path} does not match this job")
+        try:
+            # Each failed check raises ValueError, reported below.
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    own = _line({"job": key, "sha256": _digest(key)})
+                    if not (intact or own.startswith(line)):
+                        raise ValueError
+                    break
+                obj = json.loads(line)
+                if intact:
+                    i, rec = obj["chunk"], obj["rec"]
+                    signed = {"job": header, "chunk": i, "rec": rec}
+                else:  # the first line is the header, whatever it names
+                    header = signed = obj["job"]
+                if obj["sha256"] != _digest(signed):
+                    raise ValueError
+                if intact and header == key and i not in done:
+                    done.add(i)
+                    absorb(i, rec)
+                intact += len(line)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            raise ValueError(
+                f"checkpoint {path} failed its integrity check") from None
+    if intact and header != key:
+        raise ValueError(f"checkpoint {path} does not match this job")
     if intact < size:
         os.truncate(path, intact)
     return done
 
 
-def _ignore_sigint() -> None:
-    """Pool workers leave Ctrl-C to the parent, which stops the run."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _run_chunks(job: VerificationJob, task: list[int]) -> dict[int, dict]:
+    """The records {chunk: rec} of the chunks in ``task``."""
+    # _run_chunk is looked up as a module global at call time, so a
+    # replacement installed before the pool starts reaches the workers
+    # only under fork; spawned workers import the module afresh.
+    return {i: _run_chunk(job.theorem, job.lo + i * job.chunk,
+                          min(job.hi, job.lo + (i + 1) * job.chunk))
+            for i in task}
+
+
+def _complete(job: VerificationJob, recs: dict[int, dict],
+              absorb: Callable[[int, dict], None], completed: int,
+              stop_after: Optional[int]) -> int:
+    """Save, absorb and count a finished batch {chunk: rec}; the stop hook
+    fires once this run's count of finished chunks reaches ``stop_after``."""
+    if job.checkpoint:
+        _save_checkpoint(job.checkpoint, job, recs)
+    for i, rec in recs.items():
+        absorb(i, rec)
+    completed += len(recs)
+    if stop_after is not None and completed >= stop_after:
+        raise _SimulatedInterrupt(f"stopped after {completed} chunks")
+    return completed
 
 
 def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
@@ -351,19 +363,14 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     pending = ((i for i in range(nchunks) if i not in loaded) if loaded
                else iter(range(nchunks)))
     npending = nchunks - len(loaded)
-    # Each finished chunk is saved (serially one to a save, in the pool one
-    # task to a save), then absorbed; the stop hook fires at the first save
-    # that brings the count of chunks finished in this run to at least N.
+    # Each finished batch, serially one chunk and in the pool one task's
+    # chunks, goes through the one completion step, _complete.
     if workers <= 1 or npending <= 1:
         for i in pending:
             start = job.lo + i * job.chunk
             rec = _run_chunk(job.theorem, start, min(job.hi, start + job.chunk))
-            if job.checkpoint:
-                _save_checkpoint(job.checkpoint, job, {i: rec})
-            absorb(i, rec)
-            completed += 1
-            if _stop_after_chunks is not None and completed >= _stop_after_chunks:
-                raise _SimulatedInterrupt(f"stopped after {completed} chunks")
+            completed = _complete(job, {i: rec}, absorb, completed,
+                                  _stop_after_chunks)
     else:
         # The pool starts all its processes at the first submit, so it is
         # sized by the work and the CPUs.  Never fewer tasks than processes;
@@ -373,31 +380,21 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         per = max(1, min(_TASK_M // job.chunk, npending // size))
         # Tasks of `per` consecutive pending chunks, cut as they are sent.
         queued = iter(lambda: list(itertools.islice(pending, per)), [])
-        executor = ProcessPoolExecutor(max_workers=size,
-                                       initializer=_ignore_sigint)
+        # Workers leave Ctrl-C to the parent, which stops the run.
+        executor = ProcessPoolExecutor(
+            max_workers=size, initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
-            running: dict = {}
+            running: set = set()
             while True:
                 for task in itertools.islice(queued, 2 * size - len(running)):
-                    spans = [(job.lo + i * job.chunk,
-                              min(job.hi, job.lo + (i + 1) * job.chunk))
-                             for i in task]
-                    running[executor.submit(_run_chunks, job.theorem,
-                                            spans)] = task
+                    running.add(executor.submit(_run_chunks, job, task))
                 if not running:
                     break
-                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                finished, running = wait(running, return_when=FIRST_COMPLETED)
                 for fut in finished:
-                    recs = dict(zip(running.pop(fut), fut.result()))
-                    if job.checkpoint:
-                        _save_checkpoint(job.checkpoint, job, recs)
-                    for i, rec in recs.items():
-                        absorb(i, rec)
-                    completed += len(recs)
-                    if (_stop_after_chunks is not None
-                            and completed >= _stop_after_chunks):
-                        raise _SimulatedInterrupt(
-                            f"stopped after {completed} chunks")
+                    completed = _complete(job, fut.result(), absorb,
+                                          completed, _stop_after_chunks)
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
 

@@ -145,6 +145,17 @@ class TestVerify:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_empty_checkpoint_is_usage_error(self, capsys, tmp_path,
+                                             monkeypatch):
+        # --checkpoint "$CKPT" with CKPT unset: exit 2 before any work,
+        # rather than a run that a Ctrl-C would lose.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "verify", "--theorem", "1.3",
+                             "--lo", "0", "--hi", "80", "--checkpoint", "")
+        assert (code, out) == (2, "")
+        assert err == "error: checkpoint path must not be empty\n"
+        assert os.listdir(tmp_path) == []
+
     def test_dead_pool_worker_is_an_error_not_a_traceback(self, capsys,
                                                           monkeypatch,
                                                           tmp_path,

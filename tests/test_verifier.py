@@ -69,6 +69,12 @@ class TestJobValidation:
         with pytest.raises(ArithmeticRangeError):
             VerificationJob("1.4a", 0, 10**30)
 
+    def test_empty_checkpoint_path_rejected(self):
+        # An unset shell variable in --checkpoint "$CKPT" gives "", which
+        # would otherwise run with no journal at all.
+        with pytest.raises(ValueError, match="checkpoint path must not be"):
+            VerificationJob("1.1", 0, 5, checkpoint="")
+
 
 class TestSmallRanges:
     @pytest.mark.parametrize("theorem,lo", [("1.1", 0), ("1.2", 1), ("1.3", 0)])
@@ -733,6 +739,57 @@ class TestCheckpointing:
         cp.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(ValueError, match="integrity"):
             verify_theorem(job, workers=1)
+
+    def test_complete_header_only_journal_resumes(self, tmp_path):
+        # A crash after the first save's header line reached the disk and
+        # before its record did: the run goes on below the header, and
+        # the journal ends as a fresh run's does.
+        cp, fresh_cp = tmp_path / "ckpt.jsonl", tmp_path / "fresh.jsonl"
+        verify_theorem(VerificationJob("1.3", 0, 64, chunk=16,
+                                       checkpoint=str(fresh_cp)), workers=1)
+        cp.write_text(_journal(fresh_cp)[0] + "\n")
+        job = VerificationJob("1.3", 0, 64, chunk=16, checkpoint=str(cp))
+        report = verify_theorem(job, workers=1)
+        assert (report["verified"], report["reduced"], report["failed"]) == \
+            (61, 3, 0)
+        assert cp.read_bytes() == fresh_cp.read_bytes()
+
+    @pytest.mark.parametrize("shape", ["header-only", "null-job"])
+    def test_complete_foreign_header_rejected(self, tmp_path, shape):
+        # The first line is the header by its position, whatever job it
+        # names: another job's, alone, or JSON null over a record whose
+        # digest is valid under it.
+        cp = tmp_path / "ckpt.jsonl"
+        job = VerificationJob("1.1", 0, 60, chunk=16, checkpoint=str(cp))
+        if shape == "header-only":
+            key = verifier._job_key(VerificationJob("1.1", 0, 80, chunk=16))
+            lines = [{"job": key, "sha256": verifier._digest(key)}]
+        else:
+            rec = verifier._run_chunk("1.1", 0, 16)
+            lines = [{"job": None, "sha256": verifier._digest(None)},
+                     {"chunk": 0, "rec": rec, "sha256": verifier._digest(
+                         {"job": None, "chunk": 0, "rec": rec})}]
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+        cp.write_text(text)
+        with pytest.raises(ValueError, match="does not match this job"):
+            verify_theorem(job, workers=1)
+        assert cp.read_text() == text
+
+    def test_repeated_chunk_line_absorbed_once(self, tmp_path):
+        cp = tmp_path / "ckpt.jsonl"
+        job = VerificationJob("1.1", 0, 120, chunk=16, checkpoint=str(cp))
+        with pytest.raises(_SimulatedInterrupt):
+            verify_theorem(job, workers=1, _stop_after_chunks=3)
+        lines = _journal(cp)
+        cp.write_text("".join(line + "\n" for line in lines + [lines[2]]))
+        absorbed = []
+        done = verifier._load_checkpoint(
+            str(cp), job, lambda i, rec: absorbed.append(i))
+        assert sorted(done) == sorted(absorbed) == [0, 1, 2]
+        resumed = verify_theorem(job, workers=1)
+        fresh = verify_theorem(VerificationJob("1.1", 0, 120, chunk=16),
+                               workers=1)
+        assert canonical_report_bytes(resumed) == canonical_report_bytes(fresh)
 
     def test_record_spliced_from_another_job_rejected(self, tmp_path):
         cp = tmp_path / "ckpt.json"
