@@ -448,13 +448,19 @@ def _two_square_possible(rem: int) -> bool:
 _TABLE_MAX_REM = 1 << 17
 # A B-scan of a remainder past the table with at least this many probes
 # runs in numpy; shorter scans stay scalar, where numpy's fixed cost per
-# call (about 20 us) dominates.  Timing both scans on every scan of verify
-# blocks near 1e5, 1e9, 1e12 and the 1.4a/1.4b thresholds put the
-# crossover near 50 probes.
-_VECTOR_MIN_PROBES = 64
+# call dominates.  Timing both scans on every scan of verify blocks near
+# 1e5, 1e9, 1e12 and the 1.4a/1.4b thresholds: at 16-31 probes scalar
+# 3.0 us against 3.7 us for the short float64 pass, at 32-47 probes 5.0
+# against 3.8 us, at 48-63 probes 6.9 against 4.1 us.
+_VECTOR_MIN_PROBES = 32
 # Below this remainder B*B, c2 and C*C fit in int64, and float64 square
 # roots of c2 are close enough to round to the exact root.
 _VECTOR_MAX_REM = 1 << 62
+# A vector scan of fewer B than this, with rem below _SHORT_MAX_REM,
+# probes every B in float64.  Per call at 1e15-1e18 that beats the int64
+# pass at 8k-12k B (29 against 35 us) and loses at 16k-24k (54 against 51).
+_SHORT_MAX_WIDTH = 1 << 14
+_SHORT_MAX_REM = 1 << 52
 
 
 def _two_square_table(bound: int) -> tuple[array, array, array]:
@@ -501,12 +507,32 @@ def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
 
 def _scan_b_vector(rem: int, bhi: int, blo: int, l: int,
                    bres: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The same splits as `_scan_b_scalar`, from one int64 pass over every B.
+    """The same splits as `_scan_b_scalar`, from one numpy pass.
 
-    Needs rem < _VECTOR_MAX_REM.  For a square c2 = C*C < 2**62 the float64
-    square root is within 2**-22 of C, so rounding it gives C exactly; the
-    int64 test C*C == c2 then keeps exactly the squares.
+    Needs rem < _VECTOR_MAX_REM.  A short window (bhi - blo below
+    _SHORT_MAX_WIDTH, rem below _SHORT_MAX_REM = 2**52) probes every B in
+    float64.  There B*B, c2 = rem - B*B and the root of a square c2 are
+    exact, and a non-square c2 = C*C + k with 1 <= k <= 2C has its root
+    more than half an ulp from every integer, as C < 2**26; so the integral
+    roots are the squares.  Each hit is kept if B % l is in bres, and checked
+    again in Python ints, so no float reasoning can admit a false split.
+    Other windows take one int64 pass over the B of each residue in bres:
+    for a square c2 = C*C < 2**62 the float64 square root is within 2**-22
+    of C, so rounding it gives C exactly; the int64 test C*C == c2 then
+    keeps exactly the squares.
     """
+    if bhi - blo < _SHORT_MAX_WIDTH and rem < _SHORT_MAX_REM:
+        c2 = np.arange(bhi, blo - 1, -1, dtype=np.float64)
+        c2 *= c2
+        np.subtract(rem, c2, out=c2)
+        np.sqrt(c2, out=c2)
+        splits = []
+        for i in (c2 == np.floor(c2)).nonzero()[0].tolist():
+            B = bhi - i
+            C = isqrt(rem - B * B)
+            if B % l in bres and C * C == rem - B * B:
+                splits.append((B, C))
+        return splits
     res = _residues.residue_array(bres)
     starts = bhi - (bhi - res) % l
     B = (starts[:, None] - np.arange(0, (bhi - blo) // l * l + 1, l)).ravel()

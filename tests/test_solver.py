@@ -465,6 +465,7 @@ class TestMasks:
             assert all(type(plane) is tuple for plane in planes)
 
 
+@pytest.mark.filterwarnings("error")  # a NaN or an overflow in numpy fails
 class TestVectorScan:
     """`_scan_b_vector` must return exactly `_scan_b_scalar`'s splits.
 
@@ -480,6 +481,75 @@ class TestVectorScan:
         vector = solver._scan_b_vector(*args)
         assert sorted(vector, reverse=True) == sorted(scalar, reverse=True)
         return scalar
+
+    @staticmethod
+    def path(args):
+        """The scan the descent's dispatch and `_scan_b_vector` pick."""
+        rem, bhi, blo, l, bres = args
+        if (bhi - blo) // l * len(bres) < solver._VECTOR_MIN_PROBES:
+            return "scalar"
+        if bhi - blo < solver._SHORT_MAX_WIDTH and rem < solver._SHORT_MAX_REM:
+            return "float64"
+        return "int64"
+
+    @staticmethod
+    def cutoff_windows():
+        """(args, split) pairs: windows on both sides of the float64 pass's
+        width and remainder cutoffs, each with the split on blo or on bhi,
+        for every norm and three B-planes (every residue, the split's
+        residue alone, every residue but the split's)."""
+        below = 5 * 10**7, isqrt((1 << 52) - 1 - 25 * 10**14)
+        above = below[0], below[1] + 1  # rem = 2**52 + ..., cut by A
+        top = (1 << 26) - 1
+        cases = [((3 * 10**5, 2 * 10**5), w) for w in
+                 (10, 1000, (1 << 14) - 1, 1 << 14, 3 << 14)]
+        # Near 2**62 a float64 pass would miss this split: its root reads
+        # 1300908148.0000002.
+        cases += [(below, 1000), (above, 1000), (above, 1 << 14),
+                  ((1440447733, 1300908148), 1000)]
+        out = []
+        for (B, C), width in cases:
+            rem = B * B + C * C
+            assert B + width <= isqrt(rem)
+            out += [((rem, B, B - width), (B, C)), ((rem, B + width, B), (B, C))]
+        # A square c2 = C*C just below 2**52, and C*C itself.
+        out += [((top * top + 9, 100, 0), (3, top)),
+                ((top * top, 10, 0), (0, top))]
+        return [((rem, bhi, blo, l, bres), split)
+                for (rem, bhi, blo), split in out
+                for l in sorted({q.l for q in NINE_QUADRUPLES})
+                for bres in (tuple(range(l)), (split[0] % l,),
+                             tuple(r for r in range(l) if r != split[0] % l))]
+
+    def test_windows_at_the_cutoffs(self):
+        for args, split in self.cutoff_windows():
+            splits = self.assert_same_splits(args)
+            l, bres = args[3:]
+            assert (split in splits) == (split[0] % l in bres), args
+
+    def test_windows_reach_every_path(self, monkeypatch):
+        # Only the int64 pass reads the B-plane as an array.
+        int64 = []
+        residue_array = _residues.residue_array
+        monkeypatch.setattr(_residues, "residue_array",
+                            lambda bres: int64.append(1) or residue_array(bres))
+        paths = {}
+        for args, _ in self.cutoff_windows():
+            path = self.path(args)
+            paths.setdefault(path, []).append(args)
+            int64.clear()
+            solver._scan_b_vector(*args)
+            if path != "scalar":
+                assert path == ("int64" if int64 else "float64"), args[:3]
+        assert sorted(paths) == ["float64", "int64", "scalar"]
+        assert max(bhi - blo for _, bhi, blo, _, _ in paths["float64"]
+                   ) == solver._SHORT_MAX_WIDTH - 1
+        assert min(bhi - blo for rem, bhi, blo, _, _ in paths["int64"]
+                   if rem < 1 << 52) == solver._SHORT_MAX_WIDTH
+        # Short windows of a remainder past 2**52 stay on the int64 path.
+        assert max(rem for rem, *_ in paths["float64"]) < 1 << 52
+        assert any(rem >= 1 << 52 and bhi - blo < solver._SHORT_MAX_WIDTH
+                   for rem, bhi, blo, _, _ in paths["int64"])
 
     def test_descent_walk(self):
         for quad in NINE_QUADRUPLES:
@@ -721,6 +791,9 @@ class TestScanAgainstBruteForce:
 
     @staticmethod
     def brute_splits(rem, bhi, blo):
+        if rem >= 10 ** 8:  # too many roots for a dict: one isqrt per B
+            return {(B, isqrt(rem - B * B)) for B in range(blo, bhi + 1)
+                    if isqrt(rem - B * B) ** 2 == rem - B * B}
         roots = {C * C: C for C in range(isqrt(rem) + 1)}
         return {(B, roots[rem - B * B]) for B in range(blo, bhi + 1)
                 if rem - B * B in roots}
@@ -730,14 +803,29 @@ class TestScanAgainstBruteForce:
         """(rem, bhi, blo), rem >= 2**17, blo as the descent sets it: splits
         on blo (C = B or B - 1), on bhi (bhi = isqrt(rem), or the B of a
         split when A cuts the window, as at 650000 = 700**2 + 400**2 =
-        800**2 + 100**2), many splits, and random remainders."""
+        800**2 + 100**2), many splits, and random remainders.  Near 2**52
+        and 2**62, on both sides, A cuts the window to under 10**4 B."""
         rng = random.Random(17)
         rems = [2 * 400 ** 2, 2 * 4999 ** 2, 700 ** 2 + 699 ** 2,
                 3001 ** 2 + 3000 ** 2, 900 ** 2 + 7 ** 2, 6000 ** 2 + 77 ** 2,
                 5 * 13 * 17 * 29 * 37 * 41]
         rems += [rng.randrange(1 << 17, 10 ** 8) for _ in range(40)]
         out = [(rem, isqrt(rem), isqrt((rem - 1) // 2) + 1) for rem in rems]
-        return out + [(650000, 700, isqrt(649999 // 2) + 1)]
+        out.append((650000, 700, isqrt(649999 // 2) + 1))
+        for top in (1 << 52, 1 << 62):
+            x = isqrt(top // 2)  # 2*x*x < top < 2*(x+1)**2
+            splits = [(x, x), (x + 1, x + 1), (x, x - 1), (x + 1, x),
+                      (x + 3000, x - 3000), (x + 9000, x - 8000)]
+            cut = []
+            for B, C in splits:
+                rem = B * B + C * C
+                cut.append((rem, B, isqrt((rem - 1) // 2) + 1))
+            for _ in range(4):
+                rem = rng.randrange(top - (1 << 44), top + (1 << 44))
+                blo = isqrt((rem - 1) // 2) + 1
+                cut.append((rem, blo + rng.randrange(10 ** 4), blo))
+            out += [(rem, max(bhi, blo + 500), blo) for rem, bhi, blo in cut]
+        return out
 
     def test_scalar_matches_brute_force(self):
         on_blo = on_bhi = 0
@@ -752,7 +840,22 @@ class TestScanAgainstBruteForce:
                                                tuple(range(l)))
                 assert len(splits) == len(want)
                 assert set(splits) == want, (rem, bhi, blo, l)
-        assert on_blo >= 4 and on_bhi >= 3
+        assert on_blo >= 12 and on_bhi >= 8
+
+    @pytest.mark.filterwarnings("error")
+    def test_vector_matches_brute_force(self):
+        near_top = 0
+        for rem, bhi, blo in self.windows():
+            if rem >= solver._VECTOR_MAX_REM:
+                continue
+            near_top += rem > 1 << 50
+            want = self.brute_splits(rem, bhi, blo)
+            for l in sorted({q.l for q in NINE_QUADRUPLES}):
+                splits = solver._scan_b_vector(rem, bhi, blo, l,
+                                               tuple(range(l)))
+                assert len(splits) == len(want)
+                assert set(splits) == want, (rem, bhi, blo, l)
+        assert near_top >= 17
 
 
 class TestAdmissibleN:
