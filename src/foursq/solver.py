@@ -555,14 +555,14 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     the splits are a row of the two-square table, which lists B >= C, so
     only its leading B > A are skipped; past it, an A whose remainder is
     not a sum of two squares has no split, so `_two_square_possible` skips
-    its scan, and long B-scans run in numpy.  The class of (A, B, C) mod l
-    then gives each split's valid variants.  l is quad.l, and callers pass
-    only n with l*m - n**2 a sum of three squares (at any other n the walk
-    finds no triple, only later).
+    its scan, and long B-scans run in numpy.  The class of (A, B, C) mod l,
+    scaled by the unit ui of `masks_for`, then gives each split's valid
+    variants.  l is quad.l, and callers pass only n with l*m - n**2 a sum
+    of three squares (at any other n the walk finds no triple, only later).
     """
     a, b, c, d = quad
     big_r = l * m - n * n
-    mask, planes = _residues.masks_for(quad, l, n % l)
+    mask, ui, planes = _residues.masks_for(quad, l, n % l)
     mask_get = mask.get
     A = isqrt(big_r)
     while A >= 0 and 3 * A * A >= big_r:
@@ -584,7 +584,7 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
         else:
             splits = ()
         for B, C in splits:
-            mk = mask_get(A % l * l * l + B % l * l + C % l)
+            mk = mask_get(A * ui % l * l * l + B * ui % l * l + C * ui % l)
             while mk:  # each set bit v, lowest first
                 low = mk & -mk
                 mk ^= low

@@ -9,6 +9,7 @@ import random
 import signal
 import sys
 import time
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -295,7 +296,7 @@ def scan_args(m, n, quad, A):
     """The arguments `_descent_solutions` passes to a B-scan at this A."""
     l = quad.l
     rem = l * m - n * n - A * A
-    mask, planes = _residues.masks_for(tuple(quad), l, n % l)
+    _, _, planes = _residues.masks_for(tuple(quad), l, n % l)
     bhi = min(A, isqrt(rem))
     blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
     return rem, bhi, blo, l, planes[A % l]
@@ -305,7 +306,7 @@ def walk(m, n, quad):
     """The A values of the descent at (m, n) whose B-plane is nonempty."""
     l = quad.l
     big_r = l * m - n * n
-    _, planes = _residues.masks_for(tuple(quad), l, n % l)
+    _, _, planes = _residues.masks_for(tuple(quad), l, n % l)
     return [A for A in range(isqrt(big_r), -1, -1)
             if 3 * A * A >= big_r and planes[A % l]]
 
@@ -320,7 +321,7 @@ def endpoint_hit(quad, scale, at_blo):
     l = quad.l
     n = isqrt(l * scale - 3 * (1000 * l) ** 2)
     while True:
-        mask, _ = _residues.masks_for(tuple(quad), l, n % l)
+        mask = table_at_n(l, *_residues.masks_for(tuple(quad), l, n % l)[:2])
         for key in sorted(mask):
             a, b, c = key // (l * l), key // l % l, key % l
             if at_blo and c not in (b, (b - 1) % l):
@@ -332,6 +333,14 @@ def endpoint_hit(quad, scale, at_blo):
             assert norm % l == 0
             return norm // l, n, A
         n -= 1
+
+
+def table_at_n(l, mask, ui):
+    """The mask of one n, keyed by its own classes: each class k of the
+    shared table `masks_for` returns is this n's class k * u, u = ui**-1."""
+    u = pow(ui, -1, l)
+    return {(k // (l * l) * u % l * l + k // l % l * u % l) * l + k % l * u % l:
+            bits for k, bits in mask.items()}
 
 
 def mask_bits(quad, l, n, cls):
@@ -364,7 +373,8 @@ class TestMasks:
         l = quad.l
         rng = random.Random(l)
         for n in self.residues_of(l):
-            mask, planes = _residues.masks_for(tuple(quad), l, n)
+            shared, ui, planes = _residues.masks_for(tuple(quad), l, n)
+            mask = table_at_n(l, shared, ui)
             assert all(mask.values())
             if l <= 13:
                 classes = range(l ** 3)
@@ -372,7 +382,9 @@ class TestMasks:
                 classes = set(mask) | set(rng.sample(range(l ** 3), 100))
             for idx in classes:
                 cls = (idx // (l * l), idx // l % l, idx % l)
-                assert mask.get(idx, 0) == mask_bits(quad, l, n, cls), (n, cls)
+                A, B, C = (x * ui % l for x in cls)
+                assert (shared.get((A * l + B) * l + C, 0)
+                        == mask_bits(quad, l, n, cls)), (n, cls)
             assert planes == tuple(
                 tuple(sorted({idx // l % l for idx in mask
                               if idx // (l * l) == a}))
@@ -389,7 +401,7 @@ class TestMasks:
         for quad in accepted:
             assert quad.a and quad.b, quad
             for n in range(quad.l):
-                _, planes = _residues.masks_for(tuple(quad), quad.l, n)
+                _, _, planes = _residues.masks_for(tuple(quad), quad.l, n)
                 assert all(planes), (quad, n)
                 planes_seen += len(planes)
         assert (len(accepted), planes_seen) == (18, 10_334)
@@ -403,10 +415,12 @@ class TestMasks:
 
     def test_pinned_digest(self):
         """Every table the descent can ask for, byte for byte: 402 tables
-        with 209,214 entries, digest taken from the pure-Python build."""
+        with 209,214 entries, digest taken from the pure-Python build.
+        Each n's table is its shared one read back through ui."""
         h = hashlib.sha256()
         tables = entries = 0
-        for q, r, (mask, planes) in self.every_table():
+        for q, r, (shared, ui, planes) in self.every_table():
+            mask = table_at_n(q.l, shared, ui)
             line = json.dumps([list(q), q.l, r, sorted(mask.items()), planes],
                               separators=(",", ":"))
             h.update((line + "\n").encode())
@@ -427,7 +441,7 @@ class TestMasks:
         groups = _residues._valid_classes.__wrapped__(quad, l)
         assert len(groups) == l
         for n, t in enumerate(groups):
-            mask, _ = _residues.masks_for(quad, l, n)
+            mask = table_at_n(l, *_residues.masks_for(quad, l, n)[:2])
             hit = set()
             for idx, bits in mask.items():
                 cls = (idx // (l * l), idx // l % l, idx % l)
@@ -439,15 +453,34 @@ class TestMasks:
             assert len(packed) == l and sorted(packed.tolist()) == sorted(hit), n
 
     def test_one_build_per_quadruple(self):
+        """One class pass per quadruple, one shared table per divisor of l
+        (0 and 1 for the prime 31), one masks_for entry per n."""
         quad, l = (1, 1, 2, 5), 31
         _residues.masks_for.cache_clear()
+        _residues._base_table.cache_clear()
         _residues._valid_classes.cache_clear()
         _residues.masks_for(quad, l, 7)
         assert _residues._valid_classes.cache_info().misses == 1
         for n in range(l):
             _residues.masks_for(quad, l, n)
         assert _residues._valid_classes.cache_info().misses == 1
+        assert _residues._base_table.cache_info().misses == 2
         assert _residues.masks_for.cache_info().misses == l
+
+    def test_tables_memory_bound(self):
+        """Every table of the 18 quadruples, built from cold caches, holds
+        under 8 MB; a full table per (quadruple, n) would hold about 22 MB."""
+        _residues.masks_for.cache_clear()
+        _residues._base_table.cache_clear()
+        _residues._valid_classes.cache_clear()
+        tracemalloc.start()
+        try:
+            tables = sum(1 for _ in self.every_table())
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tables == 402
+        assert held < 8 * 2**20, held
 
     def test_n_mod_out_of_range(self):
         # A negative n_mod would otherwise index another n's classes.
@@ -458,7 +491,8 @@ class TestMasks:
     def test_entries_are_python_ints(self):
         """A numpy scalar in `planes` would turn the scalar B-scan's
         arithmetic into numpy arithmetic and change `residue_array`'s keys."""
-        for _, _, (mask, planes) in self.every_table():
+        for _, _, (mask, ui, planes) in self.every_table():
+            assert type(ui) is int
             assert {type(k) for k in mask} == {int}
             assert {type(v) for v in mask.values()} == {int}
             assert all(type(b) is int for plane in planes for b in plane)
