@@ -21,7 +21,8 @@ for a unit u mod l the valid triples at n = u*d are u times those at d.
 Every n mod l is u*d for d = gcd(n, l) mod l and some unit u, so a table is
 built only per divisor d (52 for the 18 quadruples the solver accepts, in
 place of 402 per-n tables) and read at n through u's inverse: class
-(A, B, C) at n is class (A, B, C) * u**-1 at d.
+(A, B, C) at n is class (A, B, C) * u**-1 at d.  The B-planes are read
+the same way, so an n holds no table of its own.
 
 Internal module: everything here is an implementation detail of
 foursq.solver.
@@ -135,11 +136,13 @@ def masks_for(
 ) -> tuple[dict[int, int], int, tuple[tuple[int, ...], ...]]:
     """(mask, ui, planes) for one (quad, n mod l).
 
-    mask: packed residue class (A%l, B%l, C%l) -> nonzero bitmask of valid
-    variants (bit v set iff variant v of a triple in that class yields an
-    integral gamma), shared by every n with the same gcd(n, l): class
-    (A, B, C) at this n is looked up as (A*ui % l, B*ui % l, C*ui % l).
-    planes[a]: sorted B-residues that can possibly hit, given A % l == a.
+    mask and planes are shared by every n with the same gcd(n, l), and
+    read at this n through the unit ui: class (A, B, C) is looked up as
+    (A*ui % l, B*ui % l, C*ui % l).
+    mask: packed class -> nonzero bitmask of valid variants (bit v set iff
+    variant v of a triple in that class yields an integral gamma).
+    planes[a]: sorted B*ui % l of the B that can possibly hit, given
+    A*ui % l == a.
     Keys, values, ui and plane entries are Python ints.
     """
     if not 0 <= n_mod < l:
@@ -147,12 +150,4 @@ def masks_for(
     d = gcd(n_mod, l) % l
     u = next(u for u in range(1, l) if gcd(u, l) == 1 and u * d % l == n_mod)
     mask, planes = _base_table(quad, l, d)
-    ui = pow(u, -1, l)
-    return mask, ui, tuple(
-        tuple(sorted(u * b % l for b in planes[a * ui % l])) for a in range(l))
-
-
-@lru_cache(maxsize=None)
-def residue_array(residues: tuple[int, ...]) -> np.ndarray:
-    """One plane of `masks_for` as an int64 array, for the vectorized B-scan."""
-    return np.array(residues, dtype=np.int64)
+    return mask, pow(u, -1, l), planes

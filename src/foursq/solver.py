@@ -446,21 +446,15 @@ def _two_square_possible(rem: int) -> bool:
 # at or above it, the gate and then a B-scan.  Near m = 1e5 nearly every
 # remainder is below it.
 _TABLE_MAX_REM = 1 << 17
-# A B-scan of a remainder past the table with at least this many probes
-# runs in numpy; shorter scans stay scalar, where numpy's fixed cost per
-# call dominates.  Timing both scans on every scan of verify blocks near
-# 1e5, 1e9, 1e12 and the 1.4a/1.4b thresholds: at 16-31 probes scalar
-# 3.0 us against 3.7 us for the short float64 pass, at 32-47 probes 5.0
-# against 3.8 us, at 48-63 probes 6.9 against 4.1 us.
-_VECTOR_MIN_PROBES = 32
-# Below this remainder B*B, c2 and C*C fit in int64, and float64 square
-# roots of c2 are close enough to round to the exact root.
-_VECTOR_MAX_REM = 1 << 62
-# A vector scan of fewer B than this, with rem below _SHORT_MAX_REM,
-# probes every B in float64.  Per call at 1e15-1e18 that beats the int64
-# pass at 8k-12k B (29 against 35 us) and loses at 16k-24k (54 against 51).
-_SHORT_MAX_WIDTH = 1 << 14
-_SHORT_MAX_REM = 1 << 52
+# The B-scan's sieve: rem - B*B can be a square only if it is a square mod
+# each of these.  64, 63, 65 and 11 pass 6 in 715 residues (Cohen, A Course
+# in Computational Algebraic Number Theory, 1.7.2), each prime from 17 to 31
+# about half of the rest; near 1e12, 0.2% of B survive, most of them splits.
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31)
+# A scan cuts its window into runs of at most _SIEVE_RUN B; a run of at
+# most _SIEVE_SHORT B reads shorter patterns, which shift faster.
+_SIEVE_SHORT = 512
+_SIEVE_RUN = 4096
 
 
 def _two_square_table(bound: int) -> tuple[array, array, array]:
@@ -486,8 +480,29 @@ def _two_square_table(bound: int) -> tuple[array, array, array]:
     return start, Bs, Cs
 
 
-# Built at import, so that pool workers forked from the parent inherit it.
+def _sieve_patterns(*spans: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """For each span, (q, patterns) per sieve modulus q: bit j of
+    patterns[t], for every j < span + q - 1, is set iff t - j*j is a
+    square mod q.  Each pattern repeats its first q bits."""
+    out = [[] for _ in spans]
+    for q in _SIEVE_MODULI:
+        roots = {}  # square r mod q -> the bits j with j*j = r (mod q)
+        for j in range(q):
+            roots[j * j % q] = roots.get(j * j % q, 0) | 1 << j
+        base = [0] * q
+        for s in roots:
+            for r, js in roots.items():
+                base[(s + r) % q] |= js
+        for row, span in zip(out, spans):
+            reps = (span + 2 * q - 2) // q
+            unit = ((1 << q * reps) - 1) // ((1 << q) - 1)
+            row.append((q, tuple(p * unit for p in base)))
+    return tuple(map(tuple, out))
+
+
+# Built at import, so that pool workers forked from the parent inherit them.
 _TABLE_START, _TABLE_B, _TABLE_C = _two_square_table(_TABLE_MAX_REM)
+_SHORT_PATTERNS, _RUN_PATTERNS = _sieve_patterns(_SIEVE_SHORT, _SIEVE_RUN)
 
 
 def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
@@ -505,42 +520,35 @@ def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
     return splits
 
 
-def _scan_b_vector(rem: int, bhi: int, blo: int, l: int,
-                   bres: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The same splits as `_scan_b_scalar`, from one numpy pass.
+def _scan_b_sieve(rem: int, bhi: int, blo: int, l: int,
+                  bres: tuple[int, ...], ui: int = 1) -> list[tuple[int, int]]:
+    """The splits of `_scan_b_scalar` with B * ui % l in bres, B descending.
 
-    Needs rem < _VECTOR_MAX_REM.  A short window (bhi - blo below
-    _SHORT_MAX_WIDTH, rem below _SHORT_MAX_REM = 2**52) probes every B in
-    float64.  There B*B, c2 = rem - B*B and the root of a square c2 are
-    exact, and a non-square c2 = C*C + k with 1 <= k <= 2C has its root
-    more than half an ulp from every integer, as C < 2**26; so the integral
-    roots are the squares.  Each hit is kept if B % l is in bres, and checked
-    again in Python ints, so no float reasoning can admit a false split.
-    Other windows take one int64 pass over the B of each residue in bres:
-    for a square c2 = C*C < 2**62 the float64 square root is within 2**-22
-    of C, so rounding it gives C exactly; the int64 test C*C == c2 then
-    keeps exactly the squares.
+    The window is cut into runs of at most _SIEVE_RUN B, from the top.  In
+    a run from lo, bit i of one int stands for B = lo + i, and one AND per
+    sieve modulus q clears every B with rem - B*B not a square mod q: the
+    pattern of rem % q, shifted by lo % q.  Each surviving B is tested with
+    isqrt in Python ints, so the splits are exact for any rem.
     """
-    if bhi - blo < _SHORT_MAX_WIDTH and rem < _SHORT_MAX_REM:
-        c2 = np.arange(bhi, blo - 1, -1, dtype=np.float64)
-        c2 *= c2
-        np.subtract(rem, c2, out=c2)
-        np.sqrt(c2, out=c2)
-        splits = []
-        for i in (c2 == np.floor(c2)).nonzero()[0].tolist():
-            B = bhi - i
-            C = isqrt(rem - B * B)
-            if B % l in bres and C * C == rem - B * B:
+    splits = []
+    while bhi >= blo:
+        lo = max(blo, bhi - _SIEVE_RUN + 1)
+        bits = (1 << (bhi - lo + 1)) - 1
+        for q, patterns in (_SHORT_PATTERNS if bhi - lo < _SIEVE_SHORT
+                            else _RUN_PATTERNS):
+            bits &= patterns[rem % q] >> lo % q
+            if not bits:
+                break
+        while bits:  # each surviving B, highest first
+            i = bits.bit_length() - 1
+            bits ^= 1 << i
+            B = lo + i
+            c2 = rem - B * B
+            C = isqrt(c2)
+            if C * C == c2 and B * ui % l in bres:
                 splits.append((B, C))
-        return splits
-    res = _residues.residue_array(bres)
-    starts = bhi - (bhi - res) % l
-    B = (starts[:, None] - np.arange(0, (bhi - blo) // l * l + 1, l)).ravel()
-    B = B[B >= blo]
-    c2 = rem - B * B
-    C = np.rint(np.sqrt(c2)).astype(np.int64)
-    sq = C * C == c2
-    return list(zip(B[sq].tolist(), C[sq].tolist()))
+        bhi = lo - 1
+    return splits
 
 
 def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
@@ -555,10 +563,11 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     the splits are a row of the two-square table, which lists B >= C, so
     only its leading B > A are skipped; past it, an A whose remainder is
     not a sum of two squares has no split, so `_two_square_possible` skips
-    its scan, and long B-scans run in numpy.  The class of (A, B, C) mod l,
-    scaled by the unit ui of `masks_for`, then gives each split's valid
-    variants.  l is quad.l, and callers pass only n with l*m - n**2 a sum
-    of three squares (at any other n the walk finds no triple, only later).
+    its scan, and `_scan_b_sieve` lists the others.  The class of (A, B, C)
+    mod l, scaled by the unit ui of `masks_for`, then gives each split's
+    valid variants; the scan keeps only the B of the A's plane.  l is
+    quad.l, and callers pass only n with l*m - n**2 a sum of three squares
+    (at any other n the walk finds no triple, only later).
     """
     a, b, c, d = quad
     big_r = l * m - n * n
@@ -573,14 +582,10 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
                 i += 1
             splits = zip(_TABLE_B[i:end], _TABLE_C[i:end]) if i < end else ()
         elif _two_square_possible(rem):
-            bres = planes[A % l]
-            bhi = min(A, isqrt(rem))
-            blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
-            vector = ((bhi - blo) // l * len(bres) >= _VECTOR_MIN_PROBES
-                      and rem < _VECTOR_MAX_REM)
-            splits = (_scan_b_vector if vector else _scan_b_scalar)(
-                rem, bhi, blo, l, bres)
-            splits.sort(reverse=True)  # B descending, as the table's rows
+            splits = _scan_b_sieve(
+                rem, min(A, isqrt(rem)),
+                0 if rem == 0 else isqrt((rem - 1) // 2) + 1,
+                l, planes[A * ui % l], ui)
         else:
             splits = ()
         for B, C in splits:

@@ -34,6 +34,8 @@
 # threshold fails 187 of 200 m (exit 1); with 2 workers and with 1
 # the report lists the same first 100 failures, in increasing m.
 # 1.1 near 1e5, with 2 workers and 1, reads the inherited two-square table.
+# 1.1 at 10**18, with 2 workers and 1: 755 of its 765 B-scans take
+# several sieve runs, and forked workers read the patterns they inherit.
 foursq bounds
 foursq verify --theorem 1.4a --lo 3740000000 --hi 3740000050
 foursq verify --theorem 1.3 --lo 0 --hi 2000 --chunk 16 --checkpoint ck.jsonl
@@ -66,5 +68,8 @@ cmp cold2.csv cold1.csv
 foursq verify --theorem 1.1 --lo 100000 --hi 102000 --workers 2 --format csv > table2.csv
 foursq verify --theorem 1.1 --lo 100000 --hi 102000 --workers 1 --format csv > table1.csv
 cmp table2.csv table1.csv
+foursq verify --theorem 1.1 --lo 1000000000000000000 --hi 1000000000000000064 --chunk 8 --workers 2 --format csv > sieve2.csv
+foursq verify --theorem 1.1 --lo 1000000000000000000 --hi 1000000000000000064 --chunk 8 --workers 1 --format csv > sieve1.csv
+cmp sieve2.csv sieve1.csv
 for w in 2 1; do code=0; foursq verify --theorem 1.4b --lo 10000 --hi 10200 --chunk 8 --workers $w > fail$w.json || code=$?; test "$code" -eq 1; done
 python -c "import json; a, b = (json.load(open(f'fail{w}.json'))['failures'] for w in (2, 1)); ms = [f['m'] for f in a]; assert a == b and len(a) == 100 and all(x < y for x, y in zip(ms, ms[1:]))"

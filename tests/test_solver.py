@@ -293,22 +293,30 @@ def three_square_below(lm, n):
 
 
 def scan_args(m, n, quad, A):
-    """The arguments `_descent_solutions` passes to a B-scan at this A."""
+    """The arguments `_descent_solutions` passes to `_scan_b_sieve` at this
+    A: the window, the shared plane of A * ui % l, and ui."""
     l = quad.l
     rem = l * m - n * n - A * A
-    _, _, planes = _residues.masks_for(tuple(quad), l, n % l)
+    _, ui, planes = _residues.masks_for(tuple(quad), l, n % l)
     bhi = min(A, isqrt(rem))
     blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
-    return rem, bhi, blo, l, planes[A % l]
+    return rem, bhi, blo, l, planes[A * ui % l], ui
+
+
+def scalar_sieve(rem, bhi, blo, l, plane, ui=1):
+    """`_scan_b_scalar` in the sieve's place: the same window over the
+    B-residues b with b * ui % l in the plane, B descending."""
+    bres = tuple(b for b in range(l) if b * ui % l in plane)
+    return sorted(solver._scan_b_scalar(rem, bhi, blo, l, bres), reverse=True)
 
 
 def walk(m, n, quad):
     """The A values of the descent at (m, n) whose B-plane is nonempty."""
     l = quad.l
     big_r = l * m - n * n
-    _, _, planes = _residues.masks_for(tuple(quad), l, n % l)
+    _, ui, planes = _residues.masks_for(tuple(quad), l, n % l)
     return [A for A in range(isqrt(big_r), -1, -1)
-            if 3 * A * A >= big_r and planes[A % l]]
+            if 3 * A * A >= big_r and planes[A * ui % l]]
 
 
 def endpoint_hit(quad, scale, at_blo):
@@ -341,6 +349,14 @@ def table_at_n(l, mask, ui):
     u = pow(ui, -1, l)
     return {(k // (l * l) * u % l * l + k // l % l * u % l) * l + k % l * u % l:
             bits for k, bits in mask.items()}
+
+
+def planes_at_n(l, planes, ui):
+    """The B-planes of one n in its own frame: planes[a] holds the b with
+    b * ui % l in the shared plane of a * ui % l."""
+    u = pow(ui, -1, l)
+    return tuple(tuple(sorted(b * u % l for b in planes[a * ui % l]))
+                 for a in range(l))
 
 
 def mask_bits(quad, l, n, cls):
@@ -386,6 +402,10 @@ class TestMasks:
                 assert (shared.get((A * l + B) * l + C, 0)
                         == mask_bits(quad, l, n, cls)), (n, cls)
             assert planes == tuple(
+                tuple(sorted({idx // l % l for idx in shared
+                              if idx // (l * l) == a}))
+                for a in range(l))
+            assert planes_at_n(l, planes, ui) == tuple(
                 tuple(sorted({idx // l % l for idx in mask
                               if idx // (l * l) == a}))
                 for a in range(l))
@@ -416,12 +436,13 @@ class TestMasks:
     def test_pinned_digest(self):
         """Every table the descent can ask for, byte for byte: 402 tables
         with 209,214 entries, digest taken from the pure-Python build.
-        Each n's table is its shared one read back through ui."""
+        Each n's table and planes are its shared ones read back through ui."""
         h = hashlib.sha256()
         tables = entries = 0
         for q, r, (shared, ui, planes) in self.every_table():
             mask = table_at_n(q.l, shared, ui)
-            line = json.dumps([list(q), q.l, r, sorted(mask.items()), planes],
+            line = json.dumps([list(q), q.l, r, sorted(mask.items()),
+                               planes_at_n(q.l, planes, ui)],
                               separators=(",", ":"))
             h.update((line + "\n").encode())
             tables += 1
@@ -489,8 +510,8 @@ class TestMasks:
                 _residues.masks_for((1, 1, 2, 2), 10, n_mod)
 
     def test_entries_are_python_ints(self):
-        """A numpy scalar in `planes` would turn the scalar B-scan's
-        arithmetic into numpy arithmetic and change `residue_array`'s keys."""
+        """A numpy scalar in `planes` would turn the sieve's plane test and
+        the scalar B-scan's arithmetic into numpy arithmetic."""
         for _, _, (mask, ui, planes) in self.every_table():
             assert type(ui) is int
             assert {type(k) for k in mask} == {int}
@@ -499,91 +520,123 @@ class TestMasks:
             assert all(type(plane) is tuple for plane in planes)
 
 
-@pytest.mark.filterwarnings("error")  # a NaN or an overflow in numpy fails
+@pytest.mark.filterwarnings("error")  # a warning from a scan fails
 class TestVectorScan:
-    """`_scan_b_vector` must return exactly `_scan_b_scalar`'s splits.
+    """`_scan_b_sieve`, the bit-vector scan, must return exactly
+    `_scan_b_scalar`'s splits, B descending.
 
-    The reference enumeration above stops at m <= 40, where every scan is
-    shorter than the vector threshold, so the vector path is checked here.
+    The reference enumeration above stops at m <= 40, where every window
+    fits one short run, so the long patterns and the runs are checked here.
     """
 
     SCALES = (10**5 + 3, 10**9 + 977, 10**12 + 977)
+    # B per window: both sides of the short span and of one run, and a
+    # window past 2**14 B that takes five runs.
+    WIDTHS = (1, 511, 512, 513, 4095, 4096, 4097, (1 << 14) + 4097)
 
     @staticmethod
     def assert_same_splits(args):
-        scalar = solver._scan_b_scalar(*args)
-        vector = solver._scan_b_vector(*args)
-        assert sorted(vector, reverse=True) == sorted(scalar, reverse=True)
-        return scalar
+        splits = solver._scan_b_sieve(*args)
+        assert splits == scalar_sieve(*args)
+        return splits
 
-    @staticmethod
-    def path(args):
-        """The scan the descent's dispatch and `_scan_b_vector` pick."""
-        rem, bhi, blo, l, bres = args
-        if (bhi - blo) // l * len(bres) < solver._VECTOR_MIN_PROBES:
-            return "scalar"
-        if bhi - blo < solver._SHORT_MAX_WIDTH and rem < solver._SHORT_MAX_REM:
-            return "float64"
-        return "int64"
-
-    @staticmethod
-    def cutoff_windows():
-        """(args, split) pairs: windows on both sides of the float64 pass's
-        width and remainder cutoffs, each with the split on blo or on bhi,
-        for every norm and three B-planes (every residue, the split's
-        residue alone, every residue but the split's)."""
+    @classmethod
+    def cutoff_windows(cls):
+        """(rem, bhi, blo, split): each width with the split (B, C) on bhi
+        and on blo, and two runs that meet under the split, for rem about
+        1.3e11, just below and just above 2**52, just below 2**62 (where a
+        float64 root of C*C reads 1300908148.0000002), above 2**62 and
+        above 2**64; then windows from B = 0: rem = 0, and a square C*C
+        just below 2**52 with C*C itself."""
         below = 5 * 10**7, isqrt((1 << 52) - 1 - 25 * 10**14)
-        above = below[0], below[1] + 1  # rem = 2**52 + ..., cut by A
-        top = (1 << 26) - 1
-        cases = [((3 * 10**5, 2 * 10**5), w) for w in
-                 (10, 1000, (1 << 14) - 1, 1 << 14, 3 << 14)]
-        # Near 2**62 a float64 pass would miss this split: its root reads
-        # 1300908148.0000002.
-        cases += [(below, 1000), (above, 1000), (above, 1 << 14),
-                  ((1440447733, 1300908148), 1000)]
-        out = []
-        for (B, C), width in cases:
+        cases = [(3 * 10**5, 2 * 10**5), below, (below[0], below[1] + 1),
+                 (1440447733, 1300908148), ((1 << 31) + 12345, (1 << 31) - 999),
+                 ((3 << 32) + 7, 5 << 30)]
+        assert below[0] ** 2 + below[1] ** 2 < 1 << 52 <= below[0] ** 2 + (
+            below[1] + 1) ** 2
+        run = solver._SIEVE_RUN
+        out = [(0, 0, 0, (0, 0))]
+        for B, C in cases:
             rem = B * B + C * C
-            assert B + width <= isqrt(rem)
-            out += [((rem, B, B - width), (B, C)), ((rem, B + width, B), (B, C))]
-        # A square c2 = C*C just below 2**52, and C*C itself.
-        out += [((top * top + 9, 100, 0), (3, top)),
-                ((top * top, 10, 0), (0, top))]
-        return [((rem, bhi, blo, l, bres), split)
-                for (rem, bhi, blo), split in out
-                for l in sorted({q.l for q in NINE_QUADRUPLES})
-                for bres in (tuple(range(l)), (split[0] % l,),
-                             tuple(r for r in range(l) if r != split[0] % l))]
+            for width in cls.WIDTHS:
+                assert B + width - 1 <= isqrt(rem)
+                out += [(rem, B, B - width + 1, (B, C)),
+                        (rem, B + width - 1, B, (B, C))]
+            # The split opens the first run, and the second ends below it.
+            out.append((rem, B + run - 1, B - run, (B, C)))
+        top = (1 << 26) - 1
+        return out + [(top * top + 9, 100, 0, (3, top)),
+                      (top * top, 10, 0, (0, top))]
 
     def test_windows_at_the_cutoffs(self):
-        for args, split in self.cutoff_windows():
-            splits = self.assert_same_splits(args)
-            l, bres = args[3:]
-            assert (split in splits) == (split[0] % l in bres), args
+        """Every window at all nine norms, with three B-planes (every
+        residue, the split's residue alone, every residue but the split's)
+        in the frame of ui = 1 and of ui = l - 1, against a brute-force
+        walk over the window, and against `_scan_b_scalar` where it is
+        quick: the one-residue plane, and every plane below 4096 B."""
+        windows = self.cutoff_windows()
+        rems = [rem for rem, *_ in windows]
+        assert 0 in rems and max(rems) > 1 << 64
+        assert any((1 << 62) - (1 << 60) < rem < 1 << 62 for rem in rems)
+        for rem, bhi, blo, split in windows:
+            want = sorted(TestScanAgainstBruteForce.brute_splits(rem, bhi, blo),
+                          reverse=True)
+            assert split in want
+            for l in sorted({q.l for q in NINE_QUADRUPLES}):
+                r = split[0] % l
+                for bres in (tuple(range(l)), (r,),
+                             tuple(b for b in range(l) if b != r)):
+                    for ui in (1, l - 1):
+                        args = (rem, bhi, blo, l,
+                                tuple(sorted(b * ui % l for b in bres)), ui)
+                        splits = solver._scan_b_sieve(*args)
+                        assert splits == [s for s in want if s[0] % l in bres]
+                        if len(bres) == 1 or bhi - blo < 4095:
+                            assert splits == scalar_sieve(*args)
+                        assert (split in splits) == (r in bres), args
+
+    def test_patterns_match_definition(self):
+        """Every bit the sieve can read: bit j of patterns[t] is set iff
+        t - j*j is a square mod q, for j < span + q - 1 (a run of up to
+        span B, shifted by up to q - 1)."""
+        for span, table in ((solver._SIEVE_SHORT, solver._SHORT_PATTERNS),
+                            (solver._SIEVE_RUN, solver._RUN_PATTERNS)):
+            assert [q for q, _ in table] == [64, 63, 65, 11, 17, 19, 23, 29, 31]
+            for q, patterns in table:
+                squares = {x * x % q for x in range(q)}
+                n = span + q - 1
+                assert len(patterns) == q
+                for t, pattern in enumerate(patterns):
+                    want = "".join("1" if (t - j * j) % q in squares else "0"
+                                   for j in range(n))
+                    got = format(pattern % (1 << n), "b").zfill(n)[::-1]
+                    assert got == want, (span, q, t)
 
     def test_windows_reach_every_path(self, monkeypatch):
-        # Only the int64 pass reads the B-plane as an array.
-        int64 = []
-        residue_array = _residues.residue_array
-        monkeypatch.setattr(_residues, "residue_array",
-                            lambda bres: int64.append(1) or residue_array(bres))
-        paths = {}
-        for args, _ in self.cutoff_windows():
-            path = self.path(args)
-            paths.setdefault(path, []).append(args)
-            int64.clear()
-            solver._scan_b_vector(*args)
-            if path != "scalar":
-                assert path == ("int64" if int64 else "float64"), args[:3]
-        assert sorted(paths) == ["float64", "int64", "scalar"]
-        assert max(bhi - blo for _, bhi, blo, _, _ in paths["float64"]
-                   ) == solver._SHORT_MAX_WIDTH - 1
-        assert min(bhi - blo for rem, bhi, blo, _, _ in paths["int64"]
-                   if rem < 1 << 52) == solver._SHORT_MAX_WIDTH
-        # Short windows of a remainder past 2**52 stay on the int64 path.
-        assert max(rem for rem, *_ in paths["float64"]) < 1 << 52
-        assert any(rem >= 1 << 52 and bhi - blo < solver._SHORT_MAX_WIDTH
-                   for rem, bhi, blo, _, _ in paths["int64"])
+        """Descents from 1e9 to near 2**63 scan windows of one short run,
+        one long run and several runs, and give the same solutions with
+        `_scan_b_scalar` in the sieve's place."""
+        widths = []
+        sieve = solver._scan_b_sieve
+        monkeypatch.setattr(solver, "_scan_b_sieve", lambda *args: widths.append(
+            args[1] - args[2] + 1) or sieve(*args))
+
+        def first_solutions():
+            out = []
+            for quad in NINE_QUADRUPLES:
+                for m in (10**9 + 977, 10**12 + 977, 10**15 + 977,
+                          10**18 + 977, INT64_MAX - 200):
+                    n = three_square_below(quad.l * m, 1000)
+                    out.append(list(itertools.islice(
+                        solver._descent_solutions(m, n, quad, quad.l), 3)))
+            return out
+
+        default = first_solutions()
+        assert any(w <= solver._SIEVE_SHORT for w in widths)
+        assert any(solver._SIEVE_SHORT < w <= solver._SIEVE_RUN for w in widths)
+        assert any(w > 4 * solver._SIEVE_RUN for w in widths)
+        monkeypatch.setattr(solver, "_scan_b_sieve", scalar_sieve)
+        assert first_solutions() == default
 
     def test_descent_walk(self):
         for quad in NINE_QUADRUPLES:
@@ -620,9 +673,9 @@ class TestVectorScan:
     def test_enumeration_matches_scalar_only(self, monkeypatch):
         m = 10**12 + 977
         calls = []
-        vector = solver._scan_b_vector
-        monkeypatch.setattr(solver, "_scan_b_vector",
-                            lambda *args: calls.append(1) or vector(*args))
+        sieve = solver._scan_b_sieve
+        monkeypatch.setattr(solver, "_scan_b_sieve",
+                            lambda *args: calls.append(1) or sieve(*args))
 
         def first_solutions():
             out = []
@@ -635,10 +688,8 @@ class TestVectorScan:
 
         default = first_solutions()
         assert calls
-        calls.clear()
-        monkeypatch.setattr(solver, "_VECTOR_MIN_PROBES", float("inf"))
+        monkeypatch.setattr(solver, "_scan_b_sieve", scalar_sieve)
         assert first_solutions() == default
-        assert not calls
 
 
 class TestTwoSquarePrefilter:
@@ -779,7 +830,7 @@ class TestTwoSquareTable:
             for m in self.SCALES:
                 for n in self.cases(m, quad):
                     for A in walk(m, n, quad):
-                        rem, bhi, blo, l, _ = scan_args(m, n, quad, A)
+                        rem, bhi, blo, l, _, _ = scan_args(m, n, quad, A)
                         if rem >= self.BOUND:
                             continue
                         row = [(solver._TABLE_B[i], solver._TABLE_C[i])
@@ -794,9 +845,9 @@ class TestTwoSquareTable:
 
     def test_enumeration_matches_scans(self, monkeypatch):
         rems = []
-        for name in ("_scan_b_scalar", "_scan_b_vector"):
-            monkeypatch.setattr(solver, name, lambda *args, scan=getattr(
-                solver, name): rems.append(args[0]) or scan(*args))
+        sieve = solver._scan_b_sieve
+        monkeypatch.setattr(solver, "_scan_b_sieve",
+                            lambda *args: rems.append(args[0]) or sieve(*args))
 
         def first_solutions():
             return [list(itertools.islice(
@@ -810,6 +861,8 @@ class TestTwoSquareTable:
         monkeypatch.setattr(solver, "_TABLE_MAX_REM", 0)
         assert first_solutions() == default
         assert any(r < self.BOUND for r in rems)
+        monkeypatch.setattr(solver, "_scan_b_sieve", scalar_sieve)
+        assert first_solutions() == default
         # Some rows the descent reads open with a B > A, which it skips.
         start = solver._TABLE_START
         assert any(start[r] < start[r + 1] and solver._TABLE_B[start[r]] > A
@@ -819,9 +872,9 @@ class TestTwoSquareTable:
 
 
 class TestScanAgainstBruteForce:
-    """`_scan_b_scalar` over every B-residue lists exactly the splits that
-    a walk over each B of the window finds; the equality tests above carry
-    this to the vector scan and to the table."""
+    """`_scan_b_scalar` and `_scan_b_sieve` over every B-residue list
+    exactly the splits that a walk over each B of the window finds; the
+    equality tests above carry this to the table."""
 
     @staticmethod
     def brute_splits(rem, bhi, blo):
@@ -878,18 +931,15 @@ class TestScanAgainstBruteForce:
 
     @pytest.mark.filterwarnings("error")
     def test_vector_matches_brute_force(self):
-        near_top = 0
+        near_top = above = 0
         for rem, bhi, blo in self.windows():
-            if rem >= solver._VECTOR_MAX_REM:
-                continue
             near_top += rem > 1 << 50
-            want = self.brute_splits(rem, bhi, blo)
+            above += rem > 1 << 62
+            want = sorted(self.brute_splits(rem, bhi, blo), reverse=True)
             for l in sorted({q.l for q in NINE_QUADRUPLES}):
-                splits = solver._scan_b_vector(rem, bhi, blo, l,
-                                               tuple(range(l)))
-                assert len(splits) == len(want)
-                assert set(splits) == want, (rem, bhi, blo, l)
-        assert near_top >= 17
+                splits = solver._scan_b_sieve(rem, bhi, blo, l, tuple(range(l)))
+                assert splits == want, (rem, bhi, blo, l)
+        assert near_top >= 20 and above >= 3
 
 
 class TestAdmissibleN:
