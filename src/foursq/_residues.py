@@ -9,12 +9,12 @@ map from the residue class of a canonical triple (A, B, C) to the bitmask
 of valid signed-permutation variants.  The solver then only has to probe
 classes along its enumeration order.
 
-The valid rho are the right multiples of beta, a lattice of index l**2 in
-Z**4, so for each n mod l exactly l signed triples mod l are valid.  One
-array pass over the l**3 triples of a quadruple finds the n each is valid
-for and groups them by n; each table is then built, on first use, from the
-l triples of one n: one sort of their 48 variants puts the bits of each
-class in one run.
+The valid rho are the multiples gamma*beta, a lattice of index l**2 in
+Z**4 spanned by beta, i*beta, j*beta and k*beta, so for each n mod l
+exactly l signed triples mod l are valid.  The closure of those four
+generators mod l finds all l**2 valid (n, A, B, C) and groups them by n;
+each table is then built, on first use, from the l triples of one n by
+sending them back through each of the 48 variants.
 
 The condition is linear and signed permutations commute with scalars, so
 for a unit u mod l the valid triples at n = u*d are u times those at d.
@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-
-import numpy as np
 
 # All six permutations of (0,1,2) in lexicographic order.  Variant v in
 # [0, 48) means: apply permutation PERMS[v >> 3] to the canonical triple,
@@ -58,7 +56,10 @@ def signed_permutation(triple: tuple[int, int, int], v: int) -> tuple[int, int, 
 
 
 def mmatrix(quad: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], ...]:
-    """Rows of (n,A,B,C) -> components of (n+Ai+Bj+Ck) * conj(a+bi+cj+dk)."""
+    """Rows of (n,A,B,C) -> components of (n+Ai+Bj+Ck) * conj(a+bi+cj+dk).
+
+    The rows are also 1*beta, i*beta, j*beta and k*beta as (n, A, B, C).
+    """
     a, b, c, d = quad
     return (
         (a, b, c, d),
@@ -68,42 +69,30 @@ def mmatrix(quad: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int],
     )
 
 
-# The same variants as tables: _INV[v] inverts the permutation of variant
-# v, and the class c with signed_permutation(c, v) == t has
-# c[j] = (t, -t)[_SRC[v, j]]: t un-negated (bit 2 - i of v negates t[i]),
-# then un-permuted.
-_VARIANTS = np.arange(48, dtype=np.int64)
-_INV = np.argsort(np.array(PERMS), axis=1)[_VARIANTS >> 3]
-_SRC = _INV + 3 * ((_VARIANTS[:, None] >> (2 - _INV)) & 1)
-_BITS = np.int64(1) << _VARIANTS
-
-
 @lru_cache(maxsize=None)
-def _valid_classes(quad: tuple[int, int, int, int], l: int) -> tuple[np.ndarray, ...]:
-    """For each n mod l, the classes (A%l, B%l, C%l) that make (n, A, B, C)
-    valid, as the columns of a (3, l) array.
+def _valid_classes(quad: tuple[int, int, int, int],
+                   l: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each n mod l, the l classes (A%l, B%l, C%l) that make
+    (n, A, B, C) valid, ascending.
 
-    A class is valid for at most one n: two would differ by an integer r
-    with r*conj(beta) = 0 (mod l), and gcd(a, b, c, d, l) = 1 gives l | r.
-    A row of M whose n coefficient is a unit mod l fixes that n; each
-    quadruple the solver accepts has one.
+    They are the closure mod l of the rows of `mmatrix`: every valid rho
+    is an integer combination of them, and each row is valid.  A class is
+    valid for at most one n: two would differ by an integer r with
+    r*conj(beta) = 0 (mod l), and gcd(a, b, c, d, l) = 1 gives l | r.
     """
     rows = mmatrix(quad)
-    unit = next(row for row in rows if gcd(row[0], l) == 1)
-    r = np.arange(l, dtype=np.int32)
-    A, B, C = r[:, None, None], r[None, :, None], r[None, None, :]
-
-    def rest(row: tuple[int, int, int, int]) -> np.ndarray:
-        return row[1] * A + row[2] * B + row[3] * C
-
-    n = -pow(unit[0], -1, l) * rest(unit) % l
-    valid = np.ones((l, l, l), dtype=bool)
-    for row in rows:
-        valid &= (row[0] * n + rest(row)) % l == 0
-    n = n[valid]
-    order = np.argsort(n)
-    return tuple(np.split(np.stack(np.nonzero(valid))[:, order],
-                          np.searchsorted(n[order], r[1:]), axis=1))
+    seen = {(0, 0, 0, 0)}
+    todo = [(0, 0, 0, 0)]
+    for n, A, B, C in todo:  # todo grows as the closure finds new points
+        for a, b, c, d in rows:
+            q = ((n + a) % l, (A + b) % l, (B + c) % l, (C + d) % l)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    groups = [[] for _ in range(l)]
+    for n, *t in sorted(seen):
+        groups[n].append(tuple(t))
+    return tuple(map(tuple, groups))
 
 
 @lru_cache(maxsize=None)
@@ -112,22 +101,23 @@ def _base_table(
 ) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
     """(mask, planes) at n = d, which `masks_for` reads for every n = u*d
     with u a unit mod l."""
-    t = _valid_classes(quad, l)[d]
-    # Keys c*64 + v for the class c that variant v maps onto each valid t,
-    # sorted, put each class's variants in one run.
-    c = np.concatenate((t, -t % l))[_SRC]
-    keys = np.array([l * l * 64, l * 64, 64]) @ c + _VARIANTS[:, None]
-    keys = np.sort(keys, axis=None)
-    cls = keys >> 6
-    first = np.flatnonzero(np.concatenate(([True], cls[1:] != cls[:-1])))
-    idx = cls[first]
-    bits = np.bitwise_or.reduceat(_BITS[keys & 63], first)
-    ab = idx // l  # A*l + B of the classes, ascending
-    ab = ab[np.concatenate(([True], ab[1:] != ab[:-1]))]
-    edge = np.searchsorted(ab, np.arange(l + 1) * l).tolist()
-    b = (ab % l).tolist()
-    return (dict(zip(idx.tolist(), bits.tolist())),
-            tuple(tuple(b[lo:hi]) for lo, hi in zip(edge, edge[1:])))
+    # cols[i] holds t[i] and cols[3 + i] holds -t[i] % l, for the valid t.
+    cols = [*zip(*_valid_classes(quad, l)[d])]
+    cols += [[-x % l for x in col] for col in cols]
+    mask = {}
+    for v in range(48):
+        # The class c with signed_permutation(c, v) == t: t un-negated
+        # (bit 2 - p of v negates t[p]), then un-permuted.
+        i, j, k = (p + 3 * (v >> (2 - p) & 1)
+                   for p in map(PERMS[v >> 3].index, range(3)))
+        bit = 1 << v
+        for c in [(A * l + B) * l + C
+                  for A, B, C in zip(cols[i], cols[j], cols[k])]:
+            mask[c] = mask.get(c, 0) | bit
+    planes = [set() for _ in range(l)]
+    for c in mask:
+        planes[c // (l * l)].add(c // l % l)
+    return mask, tuple(tuple(sorted(p)) for p in planes)
 
 
 @lru_cache(maxsize=None)

@@ -15,13 +15,11 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import count, repeat, takewhile
+from itertools import accumulate, count, repeat, takewhile
 from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-import numpy as np
-
-from . import _residues, oracle
+from . import _residues
 from .arith import iroot, is_square, is_three_square, four_square_reps
 from .lipschitz import (INT64_MAX, ArithmeticRangeError, Quaternion, mul, norm,
                         sandwich)
@@ -462,22 +460,18 @@ def _two_square_table(bound: int) -> tuple[array, array, array]:
 
     The pairs of r = B*B + C*C are Bs[i], Cs[i] for i in
     range(start[r], start[r + 1]), B descending.  Unsigned 16-bit entries:
-    below 2**17 there are 51,778 pairs, so about 0.47 MB in all.  The
-    arrays are filled through numpy views, which keeps the build's own
-    temporaries small.
+    below 2**17 there are 51,778 pairs, so about 0.47 MB in all.  One sort
+    of the keys r << 32 | (0xFFFF - B) << 16 | C orders them.
     """
-    top = isqrt(bound - 1)
-    rows = [np.arange(min(b, isqrt(bound - 1 - b * b)) + 1, dtype=np.int32)
-            for b in range(top, -1, -1)]  # the Cs of each B, B descending
-    B = np.repeat(np.arange(top, -1, -1, dtype=np.int32), [len(c) for c in rows])
-    C = np.concatenate(rows)
-    r = B * B + C * C
-    order = np.argsort(r, kind="stable")
-    start, Bs, Cs = (array("H", bytes(2 * k)) for k in (bound + 1, len(r), len(r)))
-    np.frombuffer(start, np.uint16)[1:] = np.cumsum(np.bincount(r, minlength=bound))
-    np.frombuffer(Bs, np.uint16)[:] = B[order]
-    np.frombuffer(Cs, np.uint16)[:] = C[order]
-    return start, Bs, Cs
+    keys = sorted((B * B + C * C) << 32 | (0xFFFF - B) << 16 | C
+                  for B in range(isqrt(bound - 1) + 1)
+                  for C in range(min(B, isqrt(bound - 1 - B * B)) + 1))
+    counts = [0] * bound
+    for k in keys:
+        counts[k >> 32] += 1
+    return (array("H", accumulate(counts, initial=0)),
+            array("H", [0xFFFF - (k >> 16 & 0xFFFF) for k in keys]),
+            array("H", [k & 0xFFFF for k in keys]))
 
 
 def _sieve_patterns(*spans: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
@@ -505,24 +499,10 @@ _TABLE_START, _TABLE_B, _TABLE_C = _two_square_table(_TABLE_MAX_REM)
 _SHORT_PATTERNS, _RUN_PATTERNS = _sieve_patterns(_SIEVE_SHORT, _SIEVE_RUN)
 
 
-def _scan_b_scalar(rem: int, bhi: int, blo: int, l: int,
-                   bres: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Splits (B, C) of rem = B*B + C*C with B in [blo, bhi], B % l in bres."""
-    splits = []
-    for br in bres:
-        B = bhi - ((bhi - br) % l)
-        while B >= blo:
-            c2 = rem - B * B
-            C = isqrt(c2)
-            if C * C == c2:
-                splits.append((B, C))
-            B -= l
-    return splits
-
-
 def _scan_b_sieve(rem: int, bhi: int, blo: int, l: int,
                   bres: tuple[int, ...], ui: int = 1) -> list[tuple[int, int]]:
-    """The splits of `_scan_b_scalar` with B * ui % l in bres, B descending.
+    """Splits (B, C) of rem = B*B + C*C with B in [blo, bhi] and
+    B * ui % l in bres, B descending.
 
     The window is cut into runs of at most _SIEVE_RUN B, from the top.  In
     a run from lo, bit i of one int stands for B = lo + i, and one AND per
@@ -911,5 +891,6 @@ def brute_force_oracle(m: int, quad: Sequence[int],
     if m > ORACLE_DEFAULT_BOUND:
         raise ResourceLimitError(f"oracle limited to m <= "
                                  f"{ORACLE_DEFAULT_BOUND}, got {m}")
+    from . import oracle  # the one module that needs numpy
     sol = oracle.least_solution(m, q, ts.value)
     return None if sol is None else RestrictedSolution(*sol)

@@ -30,8 +30,8 @@
 # one journal save per task), its resume from the finished journal
 # and a 1-worker run write the same CSV.  So do 2 and 1 workers over
 # 64 m of 1.1 at 10**12: each forked worker builds its own residue
-# tables, with the numpy of this matrix cell.  1.4b below its
-# threshold fails 187 of 200 m (exit 1); with 2 workers and with 1
+# tables, in plain Python; only the oracle imports numpy.  1.4b below
+# its threshold fails 187 of 200 m (exit 1); with 2 workers and with 1
 # the report lists the same first 100 failures, in increasing m.
 # 1.1 near 1e5, with 2 workers and 1, reads the inherited two-square table.
 # 1.1 at 10**18, with 2 workers and 1: 755 of its 765 B-scans take

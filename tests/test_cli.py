@@ -385,6 +385,76 @@ def test_runtime_smoke_script(tmp_path):
     assert "bounds hold" in proc.stdout
 
 
+def test_cli_import_loads_no_numpy():
+    # Only the brute-force oracle imports numpy, on its first call.
+    src = os.path.dirname(os.path.dirname(foursq.__file__))
+    code = ("import os, sys, foursq.cli; "
+            "task = '/proc/self/task'; "
+            "print('numpy' in sys.modules, "
+            "len(os.listdir(task)) if os.path.isdir(task) else 1)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]
+
+
+# Every command but `oracle`, as the smoke script runs them: plain solves,
+# both natural branches (the box at m = 52, the descent at m = 39, and the
+# box deciding no solution, exit 1), a pinned n, 1.1 at 10**12 with 1 and
+# 2 workers building their own tables, and 1.4a above its threshold.
+_WITHOUT_NUMPY = [
+    ["solve", "--m", "22", "--quad", "1,1,2,4", "--set", "cubes"],
+    ["solve", "--m", "52", "--quad", "1,1,2,5", "--set", "squares",
+     "--natural"],
+    ["solve", "--m", "39", "--quad", "1,2,3,5", "--set", "squares",
+     "--natural"],
+    ["solve", "--m", "1000000007", "--quad", "2,2,3,0", "--set", "pow2",
+     "--natural"],
+    ["solve", "--m", "1000", "--quad", "1,2,3,5", "--set", "pow2", "--n", "8"],
+    *(["verify", "--theorem", "1.1", "--lo", str(10**12),
+       "--hi", str(10**12 + 64), "--chunk", "8", "--workers", w,
+       "--format", "csv"] for w in ("1", "2")),
+    ["verify", "--theorem", "1.4a", "--lo", "3740000000",
+     "--hi", "3740000050", "--workers", "1"],
+    ["check", "--m", "22", "--quad", "1,1,2,4", "--set", "cubes",
+     "--x", "4", "--y", "-2", "--z", "1", "--t", "1"],
+    ["candidates", "--m", "1000", "--kind", "cubes"],
+    ["identities"],
+    ["bounds"],
+]
+
+
+def test_commands_run_with_numpy_refused(capsys, tmp_path):
+    # A sitecustomize refuses numpy in every Python the commands start,
+    # pool workers included; each command then exits with the code and
+    # prints the output it gives in this process.
+    src = os.path.dirname(os.path.dirname(foursq.__file__))
+    (tmp_path / "sitecustomize.py").write_text(
+        "import sys\nsys.modules['numpy'] = None\n")
+    env = dict(os.environ, PYTHONPATH=f"{tmp_path}{os.pathsep}{src}")
+
+    def untimed(out):
+        if not out.startswith("{"):
+            return out
+        return {k: v for k, v in json.loads(out).items()
+                if k not in ("wall_ms", "per_sec")}
+
+    outputs = []
+    for argv in _WITHOUT_NUMPY:
+        proc = subprocess.run([sys.executable, "-m", "foursq.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, untimed(proc.stdout)) == (code, untimed(out)), argv
+        outputs.append((code, out))
+    assert [code for code, _ in outputs] == [0, 0, 0, 1] + [0] * 8
+    assert [out for _, out in outputs[1:3]] == ["x=0 y=4 z=6 t=0 n=16\n",
+                                               "x=1 y=1 z=1 t=6 n=36\n"]
+    assert outputs[5] == outputs[6]
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -303,11 +303,26 @@ def scan_args(m, n, quad, A):
     return rem, bhi, blo, l, planes[A * ui % l], ui
 
 
+def scan_b_scalar(rem, bhi, blo, l, bres):
+    """Splits (B, C) of rem = B*B + C*C with B in [blo, bhi], B % l in
+    bres: the reference the sieve scan is held to, one isqrt per B."""
+    splits = []
+    for br in bres:
+        B = bhi - ((bhi - br) % l)
+        while B >= blo:
+            c2 = rem - B * B
+            C = isqrt(c2)
+            if C * C == c2:
+                splits.append((B, C))
+            B -= l
+    return splits
+
+
 def scalar_sieve(rem, bhi, blo, l, plane, ui=1):
-    """`_scan_b_scalar` in the sieve's place: the same window over the
+    """`scan_b_scalar` in the sieve's place: the same window over the
     B-residues b with b * ui % l in the plane, B descending."""
     bres = tuple(b for b in range(l) if b * ui % l in plane)
-    return sorted(solver._scan_b_scalar(rem, bhi, blo, l, bres), reverse=True)
+    return sorted(scan_b_scalar(rem, bhi, blo, l, bres), reverse=True)
 
 
 def walk(m, n, quad):
@@ -470,8 +485,8 @@ class TestMasks:
                     if bits >> v & 1:
                         A, B, C = _residues.signed_permutation(cls, v)
                         hit.add((A % l * l + B % l) * l + C % l)
-            packed = (t[0] * l + t[1]) * l + t[2]
-            assert len(packed) == l and sorted(packed.tolist()) == sorted(hit), n
+            packed = [(A * l + B) * l + C for A, B, C in t]
+            assert len(packed) == l and sorted(packed) == sorted(hit), n
 
     def test_one_build_per_quadruple(self):
         """One class pass per quadruple, one shared table per divisor of l
@@ -510,8 +525,8 @@ class TestMasks:
                 _residues.masks_for((1, 1, 2, 2), 10, n_mod)
 
     def test_entries_are_python_ints(self):
-        """A numpy scalar in `planes` would turn the sieve's plane test and
-        the scalar B-scan's arithmetic into numpy arithmetic."""
+        """The descent does its key and plane arithmetic on these entries,
+        so each must be a Python int and each plane a tuple."""
         for _, _, (mask, ui, planes) in self.every_table():
             assert type(ui) is int
             assert {type(k) for k in mask} == {int}
@@ -523,7 +538,7 @@ class TestMasks:
 @pytest.mark.filterwarnings("error")  # a warning from a scan fails
 class TestVectorScan:
     """`_scan_b_sieve`, the bit-vector scan, must return exactly
-    `_scan_b_scalar`'s splits, B descending.
+    `scan_b_scalar`'s splits, B descending.
 
     The reference enumeration above stops at m <= 40, where every window
     fits one short run, so the long patterns and the runs are checked here.
@@ -572,7 +587,7 @@ class TestVectorScan:
         """Every window at all nine norms, with three B-planes (every
         residue, the split's residue alone, every residue but the split's)
         in the frame of ui = 1 and of ui = l - 1, against a brute-force
-        walk over the window, and against `_scan_b_scalar` where it is
+        walk over the window, and against `scan_b_scalar` where it is
         quick: the one-residue plane, and every plane below 4096 B."""
         windows = self.cutoff_windows()
         rems = [rem for rem, *_ in windows]
@@ -615,7 +630,7 @@ class TestVectorScan:
     def test_windows_reach_every_path(self, monkeypatch):
         """Descents from 1e9 to near 2**63 scan windows of one short run,
         one long run and several runs, and give the same solutions with
-        `_scan_b_scalar` in the sieve's place."""
+        `scan_b_scalar` in the sieve's place."""
         widths = []
         sieve = solver._scan_b_sieve
         monkeypatch.setattr(solver, "_scan_b_sieve", lambda *args: widths.append(
@@ -836,8 +851,7 @@ class TestTwoSquareTable:
                         row = [(solver._TABLE_B[i], solver._TABLE_C[i])
                                for i in range(start[rem], start[rem + 1])]
                         row = list(itertools.dropwhile(lambda s: s[0] > A, row))
-                        scalar = solver._scan_b_scalar(rem, bhi, blo, l,
-                                                       tuple(range(l)))
+                        scalar = scan_b_scalar(rem, bhi, blo, l, tuple(range(l)))
                         assert row == sorted(scalar, reverse=True)
                         scanned += 1
                         hit += bool(row)
@@ -872,7 +886,7 @@ class TestTwoSquareTable:
 
 
 class TestScanAgainstBruteForce:
-    """`_scan_b_scalar` and `_scan_b_sieve` over every B-residue list
+    """`scan_b_scalar` and `_scan_b_sieve` over every B-residue list
     exactly the splits that a walk over each B of the window finds; the
     equality tests above carry this to the table."""
 
@@ -923,8 +937,7 @@ class TestScanAgainstBruteForce:
             on_blo += blo in Bs
             on_bhi += bhi in Bs
             for l in sorted({q.l for q in NINE_QUADRUPLES}):
-                splits = solver._scan_b_scalar(rem, bhi, blo, l,
-                                               tuple(range(l)))
+                splits = scan_b_scalar(rem, bhi, blo, l, tuple(range(l)))
                 assert len(splits) == len(want)
                 assert set(splits) == want, (rem, bhi, blo, l)
         assert on_blo >= 12 and on_bhi >= 8
