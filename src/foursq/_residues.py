@@ -21,8 +21,8 @@ for a unit u mod l the valid triples at n = u*d are u times those at d.
 Every n mod l is u*d for d = gcd(n, l) mod l and some unit u, so a table is
 built only per divisor d (52 for the 18 quadruples the solver accepts, in
 place of 402 per-n tables) and read at n through u's inverse: class
-(A, B, C) at n is class (A, B, C) * u**-1 at d.  The B-planes are read
-the same way, so an n holds no table of its own.
+(A, B, C) at n is class (A, B, C) * u**-1 at d, so an n holds no table
+of its own.
 
 Internal module: everything here is an implementation detail of
 foursq.solver.
@@ -71,9 +71,9 @@ def mmatrix(quad: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int],
 
 @lru_cache(maxsize=None)
 def _valid_classes(quad: tuple[int, int, int, int],
-                   l: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+                   l: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """For each n mod l, the l classes (A%l, B%l, C%l) that make
-    (n, A, B, C) valid, ascending.
+    (n, A, B, C) valid, ascending, as the three columns As, Bs, Cs.
 
     They are the closure mod l of the rows of `mmatrix`: every valid rho
     is an integer combination of them, and each row is valid.  A class is
@@ -91,18 +91,16 @@ def _valid_classes(quad: tuple[int, int, int, int],
                 todo.append(q)
     groups = [[] for _ in range(l)]
     for n, *t in sorted(seen):
-        groups[n].append(tuple(t))
-    return tuple(map(tuple, groups))
+        groups[n].append(t)
+    return tuple(tuple(zip(*group)) for group in groups)
 
 
 @lru_cache(maxsize=None)
-def _base_table(
-    quad: tuple[int, int, int, int], l: int, d: int
-) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
-    """(mask, planes) at n = d, which `masks_for` reads for every n = u*d
-    with u a unit mod l."""
+def _base_table(quad: tuple[int, int, int, int], l: int, d: int) -> dict[int, int]:
+    """The mask at n = d, which `masks_for` reads for every n = u*d with u
+    a unit mod l."""
     # cols[i] holds t[i] and cols[3 + i] holds -t[i] % l, for the valid t.
-    cols = [*zip(*_valid_classes(quad, l)[d])]
+    cols = [*_valid_classes(quad, l)[d]]
     cols += [[-x % l for x in col] for col in cols]
     mask = {}
     for v in range(48):
@@ -114,30 +112,23 @@ def _base_table(
         for c in [(A * l + B) * l + C
                   for A, B, C in zip(cols[i], cols[j], cols[k])]:
             mask[c] = mask.get(c, 0) | bit
-    planes = [set() for _ in range(l)]
-    for c in mask:
-        planes[c // (l * l)].add(c // l % l)
-    return mask, tuple(tuple(sorted(p)) for p in planes)
+    return mask
 
 
 @lru_cache(maxsize=None)
-def masks_for(
-    quad: tuple[int, int, int, int], l: int, n_mod: int
-) -> tuple[dict[int, int], int, tuple[tuple[int, ...], ...]]:
-    """(mask, ui, planes) for one (quad, n mod l).
+def masks_for(quad: tuple[int, int, int, int], l: int,
+              n_mod: int) -> tuple[dict[int, int], int]:
+    """(mask, ui) for one (quad, n mod l).
 
-    mask and planes are shared by every n with the same gcd(n, l), and
-    read at this n through the unit ui: class (A, B, C) is looked up as
+    mask is shared by every n with the same gcd(n, l), and read at this n
+    through the unit ui: class (A, B, C) is looked up as
     (A*ui % l, B*ui % l, C*ui % l).
     mask: packed class -> nonzero bitmask of valid variants (bit v set iff
     variant v of a triple in that class yields an integral gamma).
-    planes[a]: sorted B*ui % l of the B that can possibly hit, given
-    A*ui % l == a.
-    Keys, values, ui and plane entries are Python ints.
+    Keys, values and ui are Python ints.
     """
     if not 0 <= n_mod < l:
         raise ValueError(f"n_mod must be in range({l}), got {n_mod}")
     d = gcd(n_mod, l) % l
     u = next(u for u in range(1, l) if gcd(u, l) == 1 and u * d % l == n_mod)
-    mask, planes = _base_table(quad, l, d)
-    return mask, pow(u, -1, l), planes
+    return _base_table(quad, l, d), pow(u, -1, l)

@@ -499,10 +499,8 @@ _TABLE_START, _TABLE_B, _TABLE_C = _two_square_table(_TABLE_MAX_REM)
 _SHORT_PATTERNS, _RUN_PATTERNS = _sieve_patterns(_SIEVE_SHORT, _SIEVE_RUN)
 
 
-def _scan_b_sieve(rem: int, bhi: int, blo: int, l: int,
-                  bres: tuple[int, ...], ui: int = 1) -> list[tuple[int, int]]:
-    """Splits (B, C) of rem = B*B + C*C with B in [blo, bhi] and
-    B * ui % l in bres, B descending.
+def _scan_b_sieve(rem: int, bhi: int, blo: int) -> list[tuple[int, int]]:
+    """Splits (B, C) of rem = B*B + C*C with B in [blo, bhi], B descending.
 
     The window is cut into runs of at most _SIEVE_RUN B, from the top.  In
     a run from lo, bit i of one int stands for B = lo + i, and one AND per
@@ -525,7 +523,7 @@ def _scan_b_sieve(rem: int, bhi: int, blo: int, l: int,
             B = lo + i
             c2 = rem - B * B
             C = isqrt(c2)
-            if C * C == c2 and B * ui % l in bres:
+            if C * C == c2:
                 splits.append((B, C))
         bhi = lo - 1
     return splits
@@ -545,13 +543,13 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     not a sum of two squares has no split, so `_two_square_possible` skips
     its scan, and `_scan_b_sieve` lists the others.  The class of (A, B, C)
     mod l, scaled by the unit ui of `masks_for`, then gives each split's
-    valid variants; the scan keeps only the B of the A's plane.  l is
-    quad.l, and callers pass only n with l*m - n**2 a sum of three squares
-    (at any other n the walk finds no triple, only later).
+    valid variants, none when the class has no key.  l is quad.l, and
+    callers pass only n with l*m - n**2 a sum of three squares (at any
+    other n the walk finds no triple, only later).
     """
     a, b, c, d = quad
     big_r = l * m - n * n
-    mask, ui, planes = _residues.masks_for(quad, l, n % l)
+    mask, ui = _residues.masks_for(quad, l, n % l)
     mask_get = mask.get
     A = isqrt(big_r)
     while A >= 0 and 3 * A * A >= big_r:
@@ -562,10 +560,8 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
                 i += 1
             splits = zip(_TABLE_B[i:end], _TABLE_C[i:end]) if i < end else ()
         elif _two_square_possible(rem):
-            splits = _scan_b_sieve(
-                rem, min(A, isqrt(rem)),
-                0 if rem == 0 else isqrt((rem - 1) // 2) + 1,
-                l, planes[A * ui % l], ui)
+            splits = _scan_b_sieve(rem, min(A, isqrt(rem)),
+                                   0 if rem == 0 else isqrt((rem - 1) // 2) + 1)
         else:
             splits = ()
         for B, C in splits:
@@ -655,11 +651,23 @@ def _natural_box(m: int, n: int,
 
 def _check_m(m: int, name: str = "m") -> None:
     """The range contract of every solver entry point: 0 <= m <= INT64_MAX.
-    Per-solve entry points test it inline and call this only to raise."""
+    `_system` and `solve_linear_system` test it inline and call this only
+    to raise."""
     if m < 0:
         raise ValueError(f"{name} must be nonnegative")
     if m > INT64_MAX:
         raise ArithmeticRangeError(f"{name}={m} exceeds signed 64-bit range")
+
+
+def _system(m: int, quad: Sequence[int],
+            target_set: Union[str, TargetSet]) -> tuple[SystemQuadruple, TargetSet]:
+    """The checks of every entry that takes a whole system, in order: the
+    quadruple is one of the nine, the set is known, then the range of m."""
+    q = _require_primary(quad)
+    ts = TargetSet.parse(target_set)
+    if not 0 <= m <= INT64_MAX:
+        _check_m(m)
+    return q, ts
 
 
 def _solve_at(m: int, n: int, q: SystemQuadruple, l: int,
@@ -743,9 +751,7 @@ def admissible_n(m: int, quad: Sequence[int],
     (mod 3 or mod 5).  Ascending: the head of the candidate stream that
     `solve_restricted` walks.
     """
-    q = _require_primary(quad)
-    ts = TargetSet.parse(target_set)
-    _check_m(m)
+    q, ts = _system(m, quad, target_set)
     lm = _NORMS[q] * m
     return [n for n in _candidate_values(m, q, ts, False)
             if _passes_residue_filter(q, n, lm - n * n)]
@@ -804,7 +810,8 @@ def solve_restricted(m: int, quad: Sequence[int],
     `_solve_at`, the pick `solve_linear_system` shares.  Values are tried
     in ascending order: first the admissible values (those passing the
     residue filter), then any remaining set members n with n**2 <= l*m and
-    l*m - n**2 a sum of three squares.  Passing n pins the value instead.
+    l*m - n**2 a sum of three squares.  Passing n pins the value instead:
+    a member of the set goes to `solve_linear_system`.
     Raises NoSolutionError with the full trace when every candidate fails,
     and ArithmeticRangeError when m exceeds the signed 64-bit range.
 
@@ -818,23 +825,17 @@ def solve_restricted(m: int, quad: Sequence[int],
     natural solution means exhausting an enormous enumeration, unless
     `_natural_box` can walk it.
     """
-    q = _require_primary(quad)
-    ts = TargetSet.parse(target_set)
-    if not 0 <= m <= INT64_MAX:
-        _check_m(m)
+    q, ts = _system(m, quad, target_set)
+    if n is not None:
+        if not ts.contains(n):
+            raise ValueError(f"n={n} is not in {ts.value}")
+        sol = solve_linear_system(m, n, q, natural)
+        if sol is None:
+            raise NoSolutionError(m, q, ts, (n,))
+        return sol
     l = _NORMS[q]
-    if n is None:
-        values = _candidate_values(m, q, ts, natural)
-    elif not ts.contains(n):
-        raise ValueError(f"n={n} is not in {ts.value}")
-    elif n * n > l * m:
-        raise ValueError(f"n**2 = {n * n} exceeds l*m = {l * m}")
-    elif is_three_square(l * m - n * n):
-        values = (n,)
-    else:
-        raise NoSolutionError(m, q, ts, (n,))
     tried = []
-    for nv in values:
+    for nv in _candidate_values(m, q, ts, natural):
         sol = _solve_at(m, nv, q, l, natural)
         if sol is not None:
             return sol
@@ -846,11 +847,7 @@ def check_solution(m: int, quad: Sequence[int],
                    target_set: Union[str, TargetSet],
                    sol: RestrictedSolution) -> bool:
     """True iff sol solves the system and its value lies in the target set."""
-    q = _require_primary(quad)
-    ts = TargetSet.parse(target_set)
-    if not 0 <= m <= INT64_MAX:
-        _check_m(m)
-    return _solves(m, q, ts, sol)
+    return _solves(m, *_system(m, quad, target_set), sol)
 
 
 def _solves(m: int, q: SystemQuadruple, ts: TargetSet,
@@ -885,9 +882,7 @@ def brute_force_oracle(m: int, quad: Sequence[int],
     the lexicographically least tuple; None when no tuple lands in the set.
     Raises ResourceLimitError when m exceeds ORACLE_DEFAULT_BOUND.
     """
-    q = _require_primary(quad)
-    ts = TargetSet.parse(target_set)
-    _check_m(m)
+    q, ts = _system(m, quad, target_set)
     if m > ORACLE_DEFAULT_BOUND:
         raise ResourceLimitError(f"oracle limited to m <= "
                                  f"{ORACLE_DEFAULT_BOUND}, got {m}")

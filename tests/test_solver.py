@@ -293,45 +293,29 @@ def three_square_below(lm, n):
 
 
 def scan_args(m, n, quad, A):
-    """The arguments `_descent_solutions` passes to `_scan_b_sieve` at this
-    A: the window, the shared plane of A * ui % l, and ui."""
-    l = quad.l
-    rem = l * m - n * n - A * A
-    _, ui, planes = _residues.masks_for(tuple(quad), l, n % l)
+    """The window `_descent_solutions` passes to `_scan_b_sieve` at this A."""
+    rem = quad.l * m - n * n - A * A
     bhi = min(A, isqrt(rem))
     blo = 0 if rem == 0 else isqrt((rem - 1) // 2) + 1
-    return rem, bhi, blo, l, planes[A * ui % l], ui
+    return rem, bhi, blo
 
 
-def scan_b_scalar(rem, bhi, blo, l, bres):
-    """Splits (B, C) of rem = B*B + C*C with B in [blo, bhi], B % l in
-    bres: the reference the sieve scan is held to, one isqrt per B."""
+def scan_b_scalar(rem, bhi, blo):
+    """Splits (B, C) of rem = B*B + C*C with B in [blo, bhi], B descending:
+    the reference the sieve scan is held to, one isqrt per B."""
     splits = []
-    for br in bres:
-        B = bhi - ((bhi - br) % l)
-        while B >= blo:
-            c2 = rem - B * B
-            C = isqrt(c2)
-            if C * C == c2:
-                splits.append((B, C))
-            B -= l
+    for B in range(bhi, blo - 1, -1):
+        c2 = rem - B * B
+        C = isqrt(c2)
+        if C * C == c2:
+            splits.append((B, C))
     return splits
 
 
-def scalar_sieve(rem, bhi, blo, l, plane, ui=1):
-    """`scan_b_scalar` in the sieve's place: the same window over the
-    B-residues b with b * ui % l in the plane, B descending."""
-    bres = tuple(b for b in range(l) if b * ui % l in plane)
-    return sorted(scan_b_scalar(rem, bhi, blo, l, bres), reverse=True)
-
-
 def walk(m, n, quad):
-    """The A values of the descent at (m, n) whose B-plane is nonempty."""
-    l = quad.l
-    big_r = l * m - n * n
-    _, ui, planes = _residues.masks_for(tuple(quad), l, n % l)
-    return [A for A in range(isqrt(big_r), -1, -1)
-            if 3 * A * A >= big_r and planes[A * ui % l]]
+    """The A values of the descent at (m, n)."""
+    big_r = quad.l * m - n * n
+    return [A for A in range(isqrt(big_r), -1, -1) if 3 * A * A >= big_r]
 
 
 def endpoint_hit(quad, scale, at_blo):
@@ -344,7 +328,7 @@ def endpoint_hit(quad, scale, at_blo):
     l = quad.l
     n = isqrt(l * scale - 3 * (1000 * l) ** 2)
     while True:
-        mask = table_at_n(l, *_residues.masks_for(tuple(quad), l, n % l)[:2])
+        mask = table_at_n(l, *_residues.masks_for(tuple(quad), l, n % l))
         for key in sorted(mask):
             a, b, c = key // (l * l), key // l % l, key % l
             if at_blo and c not in (b, (b - 1) % l):
@@ -366,12 +350,13 @@ def table_at_n(l, mask, ui):
             bits for k, bits in mask.items()}
 
 
-def planes_at_n(l, planes, ui):
-    """The B-planes of one n in its own frame: planes[a] holds the b with
-    b * ui % l in the shared plane of a * ui % l."""
-    u = pow(ui, -1, l)
-    return tuple(tuple(sorted(b * u % l for b in planes[a * ui % l]))
-                 for a in range(l))
+def planes_of(l, mask):
+    """The B-planes of a mask: planes[a] holds, ascending, the b of every
+    class (a, b, c) the mask keys."""
+    planes = [set() for _ in range(l)]
+    for k in mask:
+        planes[k // (l * l)].add(k // l % l)
+    return tuple(tuple(sorted(p)) for p in planes)
 
 
 def mask_bits(quad, l, n, cls):
@@ -404,7 +389,7 @@ class TestMasks:
         l = quad.l
         rng = random.Random(l)
         for n in self.residues_of(l):
-            shared, ui, planes = _residues.masks_for(tuple(quad), l, n)
+            shared, ui = _residues.masks_for(tuple(quad), l, n)
             mask = table_at_n(l, shared, ui)
             assert all(mask.values())
             if l <= 13:
@@ -416,27 +401,20 @@ class TestMasks:
                 A, B, C = (x * ui % l for x in cls)
                 assert (shared.get((A * l + B) * l + C, 0)
                         == mask_bits(quad, l, n, cls)), (n, cls)
-            assert planes == tuple(
-                tuple(sorted({idx // l % l for idx in shared
-                              if idx // (l * l) == a}))
-                for a in range(l))
-            assert planes_at_n(l, planes, ui) == tuple(
-                tuple(sorted({idx // l % l for idx in mask
-                              if idx // (l * l) == a}))
-                for a in range(l))
 
     def test_search_invariants_of_accepted_quadruples(self):
-        # The descent takes a remainder's splits without asking whether
-        # its A-plane is empty, and `_naturalize` flips only c and d: both
-        # rest on these facts about every quadruple `_as_quad` accepts
-        # (the nine and the rule sources, 18 distinct, 10,334 planes).
+        # Every A of the descent can hit (no B-plane of a mask is empty),
+        # and `_naturalize` flips only c and d: both rest on these facts
+        # about every quadruple `_as_quad` accepts (the nine and the rule
+        # sources, 18 distinct, 10,334 planes).
         accepted = dict.fromkeys(list(NINE_QUADRUPLES) + [
             r.source for r in solver.builtin_rules()])
         planes_seen = 0
         for quad in accepted:
             assert quad.a and quad.b, quad
             for n in range(quad.l):
-                _, _, planes = _residues.masks_for(tuple(quad), quad.l, n)
+                mask, _ = _residues.masks_for(tuple(quad), quad.l, n)
+                planes = planes_of(quad.l, mask)
                 assert all(planes), (quad, n)
                 planes_seen += len(planes)
         assert (len(accepted), planes_seen) == (18, 10_334)
@@ -451,13 +429,14 @@ class TestMasks:
     def test_pinned_digest(self):
         """Every table the descent can ask for, byte for byte: 402 tables
         with 209,214 entries, digest taken from the pure-Python build.
-        Each n's table and planes are its shared ones read back through ui."""
+        Each n's table is its shared one read back through ui, and its
+        B-planes are those of that table."""
         h = hashlib.sha256()
         tables = entries = 0
-        for q, r, (shared, ui, planes) in self.every_table():
+        for q, r, (shared, ui) in self.every_table():
             mask = table_at_n(q.l, shared, ui)
             line = json.dumps([list(q), q.l, r, sorted(mask.items()),
-                               planes_at_n(q.l, planes, ui)],
+                               planes_of(q.l, mask)],
                               separators=(",", ":"))
             h.update((line + "\n").encode())
             tables += 1
@@ -477,7 +456,7 @@ class TestMasks:
         groups = _residues._valid_classes.__wrapped__(quad, l)
         assert len(groups) == l
         for n, t in enumerate(groups):
-            mask = table_at_n(l, *_residues.masks_for(quad, l, n)[:2])
+            mask = table_at_n(l, *_residues.masks_for(quad, l, n))
             hit = set()
             for idx, bits in mask.items():
                 cls = (idx // (l * l), idx // l % l, idx % l)
@@ -485,7 +464,7 @@ class TestMasks:
                     if bits >> v & 1:
                         A, B, C = _residues.signed_permutation(cls, v)
                         hit.add((A % l * l + B % l) * l + C % l)
-            packed = [(A * l + B) * l + C for A, B, C in t]
+            packed = [(A * l + B) * l + C for A, B, C in zip(*t)]
             assert len(packed) == l and sorted(packed) == sorted(hit), n
 
     def test_one_build_per_quadruple(self):
@@ -525,14 +504,12 @@ class TestMasks:
                 _residues.masks_for((1, 1, 2, 2), 10, n_mod)
 
     def test_entries_are_python_ints(self):
-        """The descent does its key and plane arithmetic on these entries,
-        so each must be a Python int and each plane a tuple."""
-        for _, _, (mask, ui, planes) in self.every_table():
+        """The descent does its key arithmetic on these entries, so each
+        must be a Python int."""
+        for _, _, (mask, ui) in self.every_table():
             assert type(ui) is int
             assert {type(k) for k in mask} == {int}
             assert {type(v) for v in mask.values()} == {int}
-            assert all(type(b) is int for plane in planes for b in plane)
-            assert all(type(plane) is tuple for plane in planes)
 
 
 @pytest.mark.filterwarnings("error")  # a warning from a scan fails
@@ -552,7 +529,7 @@ class TestVectorScan:
     @staticmethod
     def assert_same_splits(args):
         splits = solver._scan_b_sieve(*args)
-        assert splits == scalar_sieve(*args)
+        assert splits == scan_b_scalar(*args)
         return splits
 
     @classmethod
@@ -584,11 +561,8 @@ class TestVectorScan:
                       (top * top, 10, 0, (0, top))]
 
     def test_windows_at_the_cutoffs(self):
-        """Every window at all nine norms, with three B-planes (every
-        residue, the split's residue alone, every residue but the split's)
-        in the frame of ui = 1 and of ui = l - 1, against a brute-force
-        walk over the window, and against `scan_b_scalar` where it is
-        quick: the one-residue plane, and every plane below 4096 B."""
+        """Every window against a brute-force walk over the window and
+        against `scan_b_scalar`."""
         windows = self.cutoff_windows()
         rems = [rem for rem, *_ in windows]
         assert 0 in rems and max(rems) > 1 << 64
@@ -597,18 +571,7 @@ class TestVectorScan:
             want = sorted(TestScanAgainstBruteForce.brute_splits(rem, bhi, blo),
                           reverse=True)
             assert split in want
-            for l in sorted({q.l for q in NINE_QUADRUPLES}):
-                r = split[0] % l
-                for bres in (tuple(range(l)), (r,),
-                             tuple(b for b in range(l) if b != r)):
-                    for ui in (1, l - 1):
-                        args = (rem, bhi, blo, l,
-                                tuple(sorted(b * ui % l for b in bres)), ui)
-                        splits = solver._scan_b_sieve(*args)
-                        assert splits == [s for s in want if s[0] % l in bres]
-                        if len(bres) == 1 or bhi - blo < 4095:
-                            assert splits == scalar_sieve(*args)
-                        assert (split in splits) == (r in bres), args
+            assert self.assert_same_splits((rem, bhi, blo)) == want
 
     def test_patterns_match_definition(self):
         """Every bit the sieve can read: bit j of patterns[t] is set iff
@@ -650,7 +613,7 @@ class TestVectorScan:
         assert any(w <= solver._SIEVE_SHORT for w in widths)
         assert any(solver._SIEVE_SHORT < w <= solver._SIEVE_RUN for w in widths)
         assert any(w > 4 * solver._SIEVE_RUN for w in widths)
-        monkeypatch.setattr(solver, "_scan_b_sieve", scalar_sieve)
+        monkeypatch.setattr(solver, "_scan_b_sieve", scan_b_scalar)
         assert first_solutions() == default
 
     def test_descent_walk(self):
@@ -703,7 +666,7 @@ class TestVectorScan:
 
         default = first_solutions()
         assert calls
-        monkeypatch.setattr(solver, "_scan_b_sieve", scalar_sieve)
+        monkeypatch.setattr(solver, "_scan_b_sieve", scan_b_scalar)
         assert first_solutions() == default
 
 
@@ -845,14 +808,13 @@ class TestTwoSquareTable:
             for m in self.SCALES:
                 for n in self.cases(m, quad):
                     for A in walk(m, n, quad):
-                        rem, bhi, blo, l, _, _ = scan_args(m, n, quad, A)
+                        rem, bhi, blo = scan_args(m, n, quad, A)
                         if rem >= self.BOUND:
                             continue
                         row = [(solver._TABLE_B[i], solver._TABLE_C[i])
                                for i in range(start[rem], start[rem + 1])]
                         row = list(itertools.dropwhile(lambda s: s[0] > A, row))
-                        scalar = scan_b_scalar(rem, bhi, blo, l, tuple(range(l)))
-                        assert row == sorted(scalar, reverse=True)
+                        assert row == scan_b_scalar(rem, bhi, blo)
                         scanned += 1
                         hit += bool(row)
         assert scanned > 6000 and hit > 1000
@@ -875,7 +837,7 @@ class TestTwoSquareTable:
         monkeypatch.setattr(solver, "_TABLE_MAX_REM", 0)
         assert first_solutions() == default
         assert any(r < self.BOUND for r in rems)
-        monkeypatch.setattr(solver, "_scan_b_sieve", scalar_sieve)
+        monkeypatch.setattr(solver, "_scan_b_sieve", scan_b_scalar)
         assert first_solutions() == default
         # Some rows the descent reads open with a B > A, which it skips.
         start = solver._TABLE_START
@@ -886,9 +848,9 @@ class TestTwoSquareTable:
 
 
 class TestScanAgainstBruteForce:
-    """`scan_b_scalar` and `_scan_b_sieve` over every B-residue list
-    exactly the splits that a walk over each B of the window finds; the
-    equality tests above carry this to the table."""
+    """`scan_b_scalar` and `_scan_b_sieve` list exactly the splits that a
+    walk over each B of the window finds; the equality tests above carry
+    this to the table."""
 
     @staticmethod
     def brute_splits(rem, bhi, blo):
@@ -936,10 +898,9 @@ class TestScanAgainstBruteForce:
             Bs = {B for B, _ in want}
             on_blo += blo in Bs
             on_bhi += bhi in Bs
-            for l in sorted({q.l for q in NINE_QUADRUPLES}):
-                splits = scan_b_scalar(rem, bhi, blo, l, tuple(range(l)))
-                assert len(splits) == len(want)
-                assert set(splits) == want, (rem, bhi, blo, l)
+            splits = scan_b_scalar(rem, bhi, blo)
+            assert len(splits) == len(want)
+            assert set(splits) == want, (rem, bhi, blo)
         assert on_blo >= 12 and on_bhi >= 8
 
     @pytest.mark.filterwarnings("error")
@@ -949,9 +910,7 @@ class TestScanAgainstBruteForce:
             near_top += rem > 1 << 50
             above += rem > 1 << 62
             want = sorted(self.brute_splits(rem, bhi, blo), reverse=True)
-            for l in sorted({q.l for q in NINE_QUADRUPLES}):
-                splits = solver._scan_b_sieve(rem, bhi, blo, l, tuple(range(l)))
-                assert splits == want, (rem, bhi, blo, l)
+            assert solver._scan_b_sieve(rem, bhi, blo) == want, (rem, bhi, blo)
         assert near_top >= 20 and above >= 3
 
 
@@ -1253,15 +1212,25 @@ class TestSolveRestricted:
         # The search and the public per-n solve share one pick: the search
         # returns the first solution the public solve finds along the
         # candidate stream, and fails with that whole stream as its trace.
+        # A pinned n of the stream gets the public solve's pick, or fails
+        # with that n alone as its trace.
         for m in range(301):
             for quad in NINE_QUADRUPLES:
                 for ts in TargetSet:
                     for natural in (False, True):
                         stream = list(solver._candidate_values(m, quad, ts,
                                                                natural))
-                        first = next(filter(None, (
-                            solve_linear_system(m, nv, quad, natural=natural)
-                            for nv in stream)), None)
+                        picks = [solve_linear_system(m, nv, quad, natural=natural)
+                                 for nv in stream]
+                        for nv, pick in zip(stream, picks):
+                            try:
+                                pinned = solve_restricted(m, quad, ts,
+                                                          natural=natural, n=nv)
+                            except NoSolutionError as exc:
+                                assert pick is None and exc.tried == (nv,)
+                            else:
+                                assert pinned == pick, (m, tuple(quad), ts, nv)
+                        first = next(filter(None, picks), None)
                         try:
                             got = solve_restricted(m, quad, ts, natural=natural)
                         except NoSolutionError as exc:
@@ -1481,3 +1450,27 @@ class TestCheckSolution:
     def test_wrong_norm(self):
         assert not check_solution(15, (1, 1, 2, 2), "squares",
                                   RestrictedSolution(3, 2, 1, 2, 11))
+
+
+class TestSystemChecks:
+    """Every entry that takes a whole system checks it in one order: the
+    quadruple, then the set, then the range of m."""
+
+    @pytest.mark.parametrize("entry", ["solve_restricted", "admissible_n",
+                                       "check_solution", "brute_force_oracle"])
+    def test_checks_in_order(self, entry):
+        def call(m, quad, ts):
+            sol = (RestrictedSolution(0, 0, 0, 0, 0),) * (entry == "check_solution")
+            return getattr(solver, entry)(m, quad, ts, *sol)
+
+        with pytest.raises(UnsupportedQuadrupleError):
+            call(2**63, (1, 1, 1, 1), "primes")
+        for m in (2**63, -1):
+            with pytest.raises(ValueError, match="'primes'") as exc:
+                call(m, (1, 1, 2, 2), "primes")
+            assert type(exc.value) is ValueError
+        with pytest.raises(ArithmeticRangeError):
+            call(2**63, (1, 1, 2, 2), "squares")
+        with pytest.raises(ValueError, match="nonnegative") as exc:
+            call(-1, (1, 1, 2, 2), "squares")
+        assert type(exc.value) is ValueError
