@@ -20,7 +20,7 @@ from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import _residues
-from .arith import iroot, is_square, is_three_square, four_square_reps
+from .arith import iroot, is_three_square, four_square_reps
 from .lipschitz import (INT64_MAX, ArithmeticRangeError, Quaternion, mul, norm,
                         sandwich)
 
@@ -102,19 +102,31 @@ class TargetSet(Enum):
         raise ValueError(f"unknown value set {name!r} (expected squares, cubes or pow2)")
 
     def contains(self, n: int) -> bool:
-        if self is TargetSet.POW2:
+        """Whether n is a member: 2**k for k >= 0, or k**2 or k**3 for
+        k >= 0.  A cube up to INT64_MAX has a root below 2**21, which the
+        float cube root of n misses by far less than 1/2, so rounding it
+        gives the root; a larger n takes the exact `iroot`."""
+        if self is _POW2:
             return n >= 1 and n & (n - 1) == 0
         if n < 0:
             return False
-        if self is TargetSet.SQUARES:
-            return is_square(n)
-        return iroot(n, 3) ** 3 == n
+        if self is _SQUARES:
+            r = isqrt(n)
+            return r * r == n
+        r = round(n ** (1 / 3)) if n <= INT64_MAX else iroot(n, 3)
+        return r * r * r == n
 
     def members(self) -> Iterator[int]:
         """Every member of the set, ascending, without end and without roots."""
-        if self is TargetSet.POW2:
+        if self is _POW2:
             return map((1).__lshift__, count())
-        return map(pow, count(), repeat(2 if self is TargetSet.SQUARES else 3))
+        return map(pow, count(), repeat(2 if self is _SQUARES else 3))
+
+
+# Bound once: `contains` and `members` test their member against these on
+# every call, and a module name reads faster than a class attribute.
+_POW2 = TargetSet.POW2
+_SQUARES = TargetSet.SQUARES
 
 
 # The nine supported coefficient quadruples, in the order the solvability
@@ -141,12 +153,14 @@ FIVE_QUADRUPLES = tuple(SystemQuadruple(*q) for q in (
 # The norm l of each supported quadruple, read once per solve.
 _NORMS = {q: q.l for q in NINE_QUADRUPLES}
 
-# Residue filters: for these quadruples l*m - n**2 must avoid certain
-# classes mod 3 or mod 5, which prunes candidate values of n before any
-# enumeration; (1, 2, 3, 5), the last of the five, has its own test.
-_FILTER_MODULUS = {
-    **dict.fromkeys(FOUR_QUADRUPLES, 3),
-    **dict.fromkeys(FIVE_QUADRUPLES[:-1], 5),
+# Residue filters, the test of each quadruple on n and r = l*m - n**2: r
+# must avoid certain classes mod 3 or mod 5, which prunes candidate values
+# of n before any enumeration; (1, 2, 3, 5), the last of the five, has its
+# own test.
+_RESIDUE_FILTER = {
+    **dict.fromkeys(FOUR_QUADRUPLES, lambda n, r: r % 3 != 1),
+    **dict.fromkeys(FIVE_QUADRUPLES[:-1], lambda n, r: r % 5 in (0, 1, 4)),
+    FIVE_QUADRUPLES[-1]: lambda n, r: r % 5 in (0, 1, 4) or n % 3 != 0,
 }
 
 
@@ -670,37 +684,47 @@ def _system(m: int, quad: Sequence[int],
     return q, ts
 
 
+# What a natural pick at each supported quadruple reads before it searches:
+# min(q)**2, which is 0 when a coefficient is 0, so that the bound never
+# fires, and the two largest coefficients, which size the natural box.
+_NATURAL = {q: (min(q) ** 2, *sorted(q, reverse=True)[:2])
+            for q in NINE_QUADRUPLES}
+
+
 def _solve_at(m: int, n: int, q: SystemQuadruple, l: int,
               natural: bool) -> Optional[RestrictedSolution]:
     """The pick of both public solves at an n with l*m - n**2 a sum of
-    three squares, or None.  One chain picks the solution: a plain solve
-    takes the descent's first; a natural solve returns None below the
-    min-coefficient bound, else walks the natural box when that is small,
-    else takes the descent's first solution that naturalizes.  The norm and
-    the linear form of the pick are then checked once."""
+    three squares, or None.  A plain solve takes the descent's first
+    solution.  A natural solve reads q's constants from `_NATURAL`, returns
+    None below the min-coefficient bound, else walks the natural box when
+    that is small, else takes the descent's first solution that
+    naturalizes.  The norm and the linear form of the pick are then
+    checked once, inline."""
     if not natural:
         sol = next(_descent_solutions(m, n, q, l), None)
-    elif min(q) > 0 and n * n < min(q) ** 2 * m:
-        # With every coefficient positive a natural solution has
-        # n >= min(q) * (x+y+z+t) >= min(q) * sqrt(m), so none exists below.
-        return None
-    elif (order := _BOX_ORDER.get(q)) and (
-            (n // q[order[0]] + 1) * (n // q[order[1]] + 1)
-            <= isqrt(l * m - n * n)):
-        # The natural box has no more cells than the descent has A values
-        # to visit, about sqrt(l*m - n**2).
-        sol = _natural_box(m, n, q)
     else:
-        sol = None
-        for raw in _descent_solutions(m, n, q, l):
-            sol = _naturalize(raw, q)
-            if sol is not None:
-                break
+        # A rule source has no box; its bound needs min(q) > 0.
+        low2, ci, cj = _NATURAL.get(q) or (max(min(q), 0) ** 2, 0, 0)
+        if n * n < low2 * m:
+            # With every coefficient positive a natural solution has n >=
+            # min(q) * (x+y+z+t) >= min(q) * sqrt(m), so none exists below.
+            return None
+        if ci and (n // ci + 1) * (n // cj + 1) <= isqrt(l * m - n * n):
+            # The natural box has no more cells than the descent has A
+            # values to visit, about sqrt(l*m - n**2).
+            sol = _natural_box(m, n, q)
+        else:
+            sol = None
+            for raw in _descent_solutions(m, n, q, l):
+                sol = _naturalize(raw, q)
+                if sol is not None:
+                    break
     if sol is not None:
         x, y, z, t, _ = sol
+        a, b, c, d = q
         if x * x + y * y + z * z + t * t != m:
             raise AssertionError(f"certificate norm mismatch: {sol} vs m={m}")
-        if q.linear_form(x, y, z, t) != n:
+        if a * x + b * y + c * z + d * t != n:
             raise AssertionError(f"certificate linear form mismatch: {sol}")
     return sol
 
@@ -732,16 +756,6 @@ def solve_linear_system(m: int, n: int, quad: Sequence[int],
 # Admissible values and candidate sets
 # --------------------------------------------------------------------------
 
-def _passes_residue_filter(quad: SystemQuadruple, n: int, r: int) -> bool:
-    """The mod-3 / mod-5 obstruction test on r = l*m - n**2."""
-    modulus = _FILTER_MODULUS.get(quad)
-    if modulus == 3:
-        return r % 3 != 1
-    if modulus == 5:
-        return r % 5 in (0, 1, 4)
-    return r % 5 in (0, 1, 4) or n % 3 != 0  # (1, 2, 3, 5)
-
-
 def admissible_n(m: int, quad: Sequence[int],
                  target_set: Union[str, TargetSet]) -> list[int]:
     """Values n in the target set that pass all solvability filters.
@@ -754,7 +768,7 @@ def admissible_n(m: int, quad: Sequence[int],
     q, ts = _system(m, quad, target_set)
     lm = _NORMS[q] * m
     return [n for n in _candidate_values(m, q, ts, False)
-            if _passes_residue_filter(q, n, lm - n * n)]
+            if _RESIDUE_FILTER[q](n, lm - n * n)]
 
 
 def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
@@ -786,6 +800,7 @@ def _candidate_values(m: int, quad: SystemQuadruple, ts: TargetSet,
     walk `TargetSet.members`; the natural one is bounded by one isqrt(l*m).
     """
     lm = _NORMS[quad] * m
+    passes = _RESIDUE_FILTER[quad]
     deferred = []
     for n in (list(takewhile(isqrt(lm).__ge__, ts.members()))[::-1]
               if natural else ts.members()):
@@ -793,7 +808,7 @@ def _candidate_values(m: int, quad: SystemQuadruple, ts: TargetSet,
         if r < 0:
             break
         if is_three_square(r):
-            if _passes_residue_filter(quad, n, r):
+            if passes(n, r):
                 yield n
             else:
                 deferred.append(n)

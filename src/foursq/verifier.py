@@ -81,8 +81,8 @@ _WINDOWS = {
 WINDOW_BOUNDS = {th: w.threshold for th, w in _WINDOWS.items()}
 
 # The window kernel's constants per statement: the quadruple, lo, the norm
-# l, and whether the skip rule tests n (1.4a) or l*m - n**4 (1.4b).
-_WINDOW_KERNEL = {th: (w.quad, w.lo, w.quad.l, th == "1.4a")
+# l, whether the skip rule tests n (1.4a) or l*m - n**4 (1.4b), and the set.
+_WINDOW_KERNEL = {th: (w.quad, w.lo, w.quad.l, th == "1.4a", TargetSet.SQUARES)
                   for th, w in _WINDOWS.items()}
 
 THEOREM_IDS = (*_THEOREMS, *_WINDOWS)
@@ -135,7 +135,7 @@ def _verify_one(m: int, theorem: str) -> tuple[str, list[dict]]:
     if theorem in _WINDOW_KERNEL:
         if m % 16 == 0:
             return "R", []
-        quad, lo, l, by_n = _WINDOW_KERNEL[theorem]
+        quad, lo, l, by_n, squares = _WINDOW_KERNEL[theorem]
         lo4 = lo * m
         hi4 = l * m
         r = isqrt(isqrt(lo4))   # floor fourth roots
@@ -150,7 +150,7 @@ def _verify_one(m: int, theorem: str) -> tuple[str, list[dict]]:
             tried.append(nn)
             sol = _solve_at(m, nn * nn, quad, l, True)
             if sol is not None:
-                if _solves(m, quad, TargetSet.SQUARES, sol):
+                if _solves(m, quad, squares, sol):
                     return "V", []
                 trace = f"certificate failed revalidation: {tuple(sol)}"
                 break
@@ -194,28 +194,39 @@ def _run_chunk(theorem: str, start: int, end: int) -> dict:
 _TASK_M = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerificationJob:
-    """A verification range: theorem id, m in [lo, hi), chunking, checkpoint."""
+    """A verification range: theorem id, m in [lo, hi), chunking, checkpoint.
+
+    A frozen value.  Its __init__ is written out: the one a frozen
+    dataclass generates sets each field through object.__setattr__, about
+    twice the cost of filling __dict__, and a one-m job pays it.  A filled
+    __dict__ makes each field read a little slower, so `verify_theorem`
+    reads the fields once.
+    """
 
     theorem: str
     lo: int
     hi: int
-    chunk: int = 1024
-    checkpoint: Optional[str] = None
+    chunk: int
+    checkpoint: Optional[str]
 
-    def __post_init__(self) -> None:
-        _check_theorem(self.theorem)
-        if self.lo > self.hi:
+    def __init__(self, theorem: str, lo: int, hi: int, chunk: int = 1024,
+                 checkpoint: Optional[str] = None) -> None:
+        _check_theorem(theorem)
+        if lo > hi:
             raise ValueError("lo must not exceed hi")
-        if self.lo < 0:
+        if lo < 0:
             raise ValueError("range must be nonnegative")
-        if self.chunk < 1:
+        if chunk < 1:
             raise ValueError("chunk size must be >= 1")
-        if self.checkpoint == "":
+        if checkpoint == "":
             raise ValueError("checkpoint path must not be empty")
-        if self.hi - 1 > INT64_MAX:
-            _check_m(self.hi - 1)
+        if hi - 1 > INT64_MAX:
+            _check_m(hi - 1)
+        fields = self.__dict__
+        fields["theorem"], fields["lo"], fields["hi"] = theorem, lo, hi
+        fields["chunk"], fields["checkpoint"] = chunk, checkpoint
 
 
 class _SimulatedInterrupt(RuntimeError):
@@ -353,7 +364,8 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
                              f"got {env!r}")
     elif workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    nchunks = (job.hi - job.lo + job.chunk - 1) // job.chunk
+    theorem, lo, hi, chunk = job.theorem, job.lo, job.hi, job.chunk
+    nchunks = (hi - lo + chunk - 1) // chunk
     # Finished chunks are held only as running V/R/F counts, the first
     # _FAILURE_CAP failures in m order so far and, for CSV output, the
     # per-m codes.
@@ -384,8 +396,8 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
     # chunks, goes through the one completion step, _complete.
     if workers <= 1 or npending <= 1:
         for i in pending:
-            start = job.lo + i * job.chunk
-            rec = _run_chunk(job.theorem, start, min(job.hi, start + job.chunk))
+            start = lo + i * chunk
+            rec = _run_chunk(theorem, start, min(hi, start + chunk))
             completed = _complete(job, {i: rec}, absorb, completed,
                                   _stop_after_chunks)
     else:
@@ -394,7 +406,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         # at most two tasks per process in flight, so the parent holds few
         # futures however long the range.
         size = min(workers, npending, os.cpu_count() or 1)
-        per = max(1, min(_TASK_M // job.chunk, npending // size))
+        per = max(1, min(_TASK_M // chunk, npending // size))
         # Tasks of `per` consecutive pending chunks, cut as they are sent.
         queued = iter(lambda: list(itertools.islice(pending, per)), [])
         # Workers leave Ctrl-C to the parent, which stops the run.
@@ -417,8 +429,8 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
 
     wall = max(time.monotonic() - t0, 1e-9)
     report = {
-        "theorem": job.theorem,
-        "range": [job.lo, job.hi],
+        "theorem": theorem,
+        "range": [lo, hi],
         "verified": counts[0],
         "reduced": counts[1],
         "failed": counts[2],
@@ -426,7 +438,7 @@ def verify_theorem(job: VerificationJob, workers: Optional[int] = None,
         # Three decimals by integer rounding, which costs less than
         # round(x, 3) on a float.
         "wall_ms": round(wall * 1e6) / 1000,
-        "per_sec": round((job.hi - job.lo) * 1000 / wall) / 1000,
+        "per_sec": round((hi - lo) * 1000 / wall) / 1000,
     }
     if include_codes:
         report["codes"] = "".join(codes[i] for i in range(nchunks))

@@ -1139,6 +1139,75 @@ class TestCandidateSet:
                     assert {n for n in range(2, top, 4) if n**4 <= m} <= sm, m
 
 
+def cube_root_by_bisection(n):
+    """Largest r >= 0 with r**3 <= n, for n >= 0, by bisection."""
+    lo, hi = 0, 1
+    while hi ** 3 <= n:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** 3 <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestTargetSet:
+    """`contains` and `members` against the definitions of the three sets:
+    2**k, k**2 and k**3 for k >= 0, decided with math.isqrt and a cube
+    root by bisection.  Each set's counting function, the number of
+    members up to x >= 0, is x.bit_length(), isqrt(x) + 1 and the cube
+    root plus 1."""
+
+    DEFINED = {
+        TargetSet.POW2: lambda n: n >= 1 and 1 << (n.bit_length() - 1) == n,
+        TargetSet.SQUARES: lambda n: n >= 0 and isqrt(n) ** 2 == n,
+        TargetSet.CUBES: lambda n: n >= 0
+        and cube_root_by_bisection(n) ** 3 == n,
+    }
+    COUNT = {
+        TargetSet.POW2: int.bit_length,
+        TargetSet.SQUARES: lambda x: isqrt(x) + 1,
+        TargetSet.CUBES: lambda x: cube_root_by_bisection(x) + 1,
+    }
+
+    def test_contains_every_small_n(self):
+        for ts, defined in self.DEFINED.items():
+            for n in range(-50, 5001):
+                assert ts.contains(n) is defined(n), (ts, n)
+
+    def test_contains_near_the_top_of_int64(self):
+        # k**2, k**3 and 2**k, each and one either side, for k around the
+        # roots of 2**62 and 2**63: every set is asked about every value,
+        # on both sides of INT64_MAX, where the cube test changes method.
+        values = set()
+        for e in (62, 63):
+            r2, r3 = isqrt(1 << e), cube_root_by_bisection(1 << e)
+            values.update(k ** 2 for k in range(r2 - 2, r2 + 3))
+            values.update(k ** 3 for k in range(r3 - 2, r3 + 3))
+            values.update(1 << k for k in range(e - 2, e + 3))
+        values.add(INT64_MAX)
+        values = {v + d for v in values for d in (-1, 0, 1)}
+        assert min(values) < 1 << 62 and max(values) > INT64_MAX
+        for ts, defined in self.DEFINED.items():
+            for n in sorted(values):
+                assert ts.contains(n) is defined(n), (ts, n)
+        # every cube with a root near 2**21 is found, its neighbours not
+        for k in range((1 << 21) - 64, (1 << 21) + 64):
+            assert TargetSet.CUBES.contains(k ** 3), k
+            assert not TargetSet.CUBES.contains(k ** 3 - 1), k
+            assert not TargetSet.CUBES.contains(k ** 3 + 1), k
+
+    def test_members_are_the_set_in_order(self):
+        for ts, defined in self.DEFINED.items():
+            first = list(itertools.islice(ts.members(), 60))
+            for i, v in enumerate(first):
+                # a member, and exactly i members lie below it
+                assert defined(v) and self.COUNT[ts](v) == i + 1, (ts, i, v)
+                assert ts.contains(v), (ts, v)
+
+
 class TestSolveRestricted:
     def test_cube_example(self):
         sol = solve_restricted(3, (1, 1, 2, 2), "cubes")

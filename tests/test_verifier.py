@@ -1,9 +1,11 @@
 """Verification harness: reduction, windowed checks, checkpointing, reports."""
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -74,6 +76,26 @@ class TestJobValidation:
         # would otherwise run with no journal at all.
         with pytest.raises(ValueError, match="checkpoint path must not be"):
             VerificationJob("1.1", 0, 5, checkpoint="")
+
+
+class TestJobValue:
+    def test_frozen_value(self):
+        job = VerificationJob("1.1", 0, 5)
+        for field in ("theorem", "lo", "hi", "chunk", "checkpoint"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(job, field, getattr(job, field))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(job, field)
+        same = VerificationJob("1.1", 0, 5, chunk=1024, checkpoint=None)
+        assert job == same and hash(job) == hash(same)
+        assert job != VerificationJob("1.1", 0, 5, chunk=16)
+        assert job != ("1.1", 0, 5, 1024, None)
+        assert repr(job) == ("VerificationJob(theorem='1.1', lo=0, hi=5, "
+                             "chunk=1024, checkpoint=None)")
+        assert verifier._job_key(job) == {"theorem": "1.1", "lo": 0, "hi": 5,
+                                          "chunk": 1024, "quads": None}
+        # Pool tasks carry the job to their workers.
+        assert pickle.loads(pickle.dumps(job)) == job
 
 
 class TestSmallRanges:
