@@ -543,8 +543,28 @@ def _scan_b_sieve(rem: int, bhi: int, blo: int) -> list[tuple[int, int]]:
     return splits
 
 
-def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
-                       l: int) -> Iterator[RestrictedSolution]:
+def _forms(quad: SystemQuadruple) -> dict[int, tuple[int, ...]]:
+    """Form v of each variant v, keyed by its mask bit 1 << v: the
+    coefficients of A, B and C in l*x, l*y, l*z and l*t, as 12 ints, for
+    gamma = (n + A2 i + B2 j + C2 k) * conj(beta) with (A2, B2, C2) variant
+    v of (A, B, C) and (x, y, z, t) = (g1, -g2, -g3, -g4).  The n terms are
+    a*n, b*n, c*n and d*n for every v.  The variants and the rows of gamma
+    come from `_residues`, which builds the masks from the same two."""
+    rows = [(s * b, s * c, s * d) for s, (_, b, c, d)
+            in zip((1, -1, -1, -1), _residues.mmatrix(quad))]
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return {1 << v: tuple(a * p + b * q + c * r for a, b, c in rows for p, q, r in [
+        _residues.signed_permutation(e, v) for e in units]) for v in range(48)}
+
+
+# Built at import for the nine quadruples (about 2 ms), so that pool workers
+# forked from the parent inherit them; a rule source's forms are added on
+# its first descent.
+_FORMS = {q: _forms(q) for q in NINE_QUADRUPLES}
+
+
+def _descent_solutions(m: int, n: int, quad: SystemQuadruple, l: int,
+                       natural: bool = False) -> Iterator[RestrictedSolution]:
     """Yield solutions at value n in the deterministic enumeration order.
 
     Canonical triples A >= B >= C >= 0 with A**2+B**2+C**2 = l*m - n**2 are
@@ -560,8 +580,18 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
     valid variants, none when the class has no key.  l is quad.l, and
     callers pass only n with l*m - n**2 a sum of three squares (at any
     other n the walk finds no triple, only later).
+
+    A valid variant v's coordinates times l are a*n, b*n, c*n and d*n plus
+    form v of `_forms` applied to (A, B, C), read from `_FORMS`.  With
+    natural, the walk applies `_naturalize`'s rule to each valid variant
+    before it builds a solution: it flips z when c = 0 and t when d = 0,
+    and skips the variant at the first coordinate that is negative.  So it
+    yields the plain enumeration passed through `_naturalize`, Nones
+    dropped, in the same order, and builds nothing for a variant it skips.
     """
     a, b, c, d = quad
+    an, bn, cn, dn = a * n, b * n, c * n, d * n
+    forms = _FORMS.get(quad) or _FORMS.setdefault(quad, _forms(quad))
     big_r = l * m - n * n
     mask, ui = _residues.masks_for(quad, l, n % l)
     mask_get = mask.get
@@ -583,20 +613,31 @@ def _descent_solutions(m: int, n: int, quad: SystemQuadruple,
             while mk:  # each set bit v, lowest first
                 low = mk & -mk
                 mk ^= low
-                A2, B2, C2 = _residues.signed_permutation(
-                    (A, B, C), low.bit_length() - 1)
-                g1 = (a * n + b * A2 + c * B2 + d * C2) // l
-                g2 = (-b * n + a * A2 - d * B2 + c * C2) // l
-                g3 = (-c * n + d * A2 + a * B2 - b * C2) // l
-                g4 = (-d * n - c * A2 + b * B2 + a * C2) // l
-                yield RestrictedSolution(g1, -g2, -g3, -g4, n)
+                xa, xb, xc, ya, yb, yc, za, zb, zc, ta, tb, tc = forms[low]
+                x = an + xa * A + xb * B + xc * C
+                if natural and x < 0:
+                    continue
+                y = bn + ya * A + yb * B + yc * C
+                if natural and y < 0:
+                    continue
+                z = cn + za * A + zb * B + zc * C
+                if natural and z < 0 and c:
+                    continue
+                t = dn + ta * A + tb * B + tc * C
+                if natural and t < 0 and d:
+                    continue
+                if natural:  # flips z and t where c or d is 0, else keeps them
+                    z, t = abs(z), abs(t)
+                yield RestrictedSolution(x // l, y // l, z // l, t // l, n)
         A -= 1
 
 
 def _naturalize(sol: RestrictedSolution,
                 quad: SystemQuadruple) -> Optional[RestrictedSolution]:
     """Flip free coordinates (zero coefficient, only ever c or d: no
-    accepted quadruple has a = 0 or b = 0) and demand nonnegativity."""
+    accepted quadruple has a = 0 or b = 0) and demand nonnegativity.
+    `_natural_box` applies this to its pick; the natural descent applies
+    the same rule inline, per variant, before it builds a solution."""
     x, y, z, t, n = sol
     c, d = quad[2:]
     if not c:
@@ -697,28 +738,22 @@ def _solve_at(m: int, n: int, q: SystemQuadruple, l: int,
     three squares, or None.  A plain solve takes the descent's first
     solution.  A natural solve reads q's constants from `_NATURAL`, returns
     None below the min-coefficient bound, else walks the natural box when
-    that is small, else takes the descent's first solution that
-    naturalizes.  The norm and the linear form of the pick are then
-    checked once, inline."""
-    if not natural:
-        sol = next(_descent_solutions(m, n, q, l), None)
-    else:
+    that is small, else takes the first solution of the natural descent,
+    which filters by `_naturalize`'s rule inside its walk.  The norm and
+    the linear form of the pick are then checked once, inline."""
+    if natural:
         # A rule source has no box; its bound needs min(q) > 0.
         low2, ci, cj = _NATURAL.get(q) or (max(min(q), 0) ** 2, 0, 0)
         if n * n < low2 * m:
             # With every coefficient positive a natural solution has n >=
             # min(q) * (x+y+z+t) >= min(q) * sqrt(m), so none exists below.
             return None
-        if ci and (n // ci + 1) * (n // cj + 1) <= isqrt(l * m - n * n):
-            # The natural box has no more cells than the descent has A
-            # values to visit, about sqrt(l*m - n**2).
-            sol = _natural_box(m, n, q)
-        else:
-            sol = None
-            for raw in _descent_solutions(m, n, q, l):
-                sol = _naturalize(raw, q)
-                if sol is not None:
-                    break
+    if natural and ci and (n // ci + 1) * (n // cj + 1) <= isqrt(l * m - n * n):
+        # The natural box has no more cells than the descent has A values
+        # to visit, about sqrt(l*m - n**2).
+        sol = _natural_box(m, n, q)
+    else:
+        sol = next(_descent_solutions(m, n, q, l, natural), None)
     if sol is not None:
         x, y, z, t, _ = sol
         a, b, c, d = q
@@ -766,9 +801,9 @@ def admissible_n(m: int, quad: Sequence[int],
     `solve_restricted` walks.
     """
     q, ts = _system(m, quad, target_set)
-    lm = _NORMS[q] * m
-    return [n for n in _candidate_values(m, q, ts, False)
-            if _RESIDUE_FILTER[q](n, lm - n * n)]
+    l = _NORMS[q]
+    return [n for n in _candidate_values(m, q, l, ts, False)
+            if _RESIDUE_FILTER[q](n, l * m - n * n)]
 
 
 def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
@@ -790,7 +825,7 @@ def candidate_set(M: int, kind: Union[str, TargetSet]) -> list[int]:
 # Restricted solving
 # --------------------------------------------------------------------------
 
-def _candidate_values(m: int, quad: SystemQuadruple, ts: TargetSet,
+def _candidate_values(m: int, quad: SystemQuadruple, l: int, ts: TargetSet,
                       natural: bool) -> Iterator[int]:
     """Set members n with n**2 <= l*m and l*m - n**2 a sum of three squares.
 
@@ -798,8 +833,9 @@ def _candidate_values(m: int, quad: SystemQuadruple, ts: TargetSet,
     each group ascending, or descending when natural.  Lazy: the filtered
     head is yielded before the rest of the set is examined.  Both orders
     walk `TargetSet.members`; the natural one is bounded by one isqrt(l*m).
+    l is quad.l, which the caller has read.
     """
-    lm = _NORMS[quad] * m
+    lm = l * m
     passes = _RESIDUE_FILTER[quad]
     deferred = []
     for n in (list(takewhile(isqrt(lm).__ge__, ts.members()))[::-1]
@@ -850,7 +886,7 @@ def solve_restricted(m: int, quad: Sequence[int],
         return sol
     l = _NORMS[q]
     tried = []
-    for nv in _candidate_values(m, q, ts, natural):
+    for nv in _candidate_values(m, q, l, ts, natural):
         sol = _solve_at(m, nv, q, l, natural)
         if sol is not None:
             return sol

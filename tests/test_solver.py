@@ -285,6 +285,79 @@ class TestNaturalBox:
         assert solver._natural_box(9, 6, q) == (2, 1, 0, 2, 6)
 
 
+def naturalized_plain(m, n, quad):
+    """The plain enumeration at n through `_naturalize`, Nones dropped."""
+    return filter(None, map(solver._naturalize,
+                            solver._descent_solutions(m, n, quad, quad.l),
+                            itertools.repeat(quad)))
+
+
+class TestNaturalDescent:
+    @pytest.mark.parametrize("quad", ALL_QUADS, ids=str)
+    def test_filter_matches_naturalize(self, quad):
+        # The natural walk yields what the plain one does through
+        # `_naturalize`, in its order, at every n with a triple, m <= 200.
+        l = quad.l
+        for m in range(201):
+            for n in range(isqrt(l * m) + 1):
+                if is_three_square(l * m - n * n):
+                    assert list(solver._descent_solutions(m, n, quad, l, True)) \
+                        == list(naturalized_plain(m, n, quad)), (m, n)
+
+    @pytest.mark.parametrize("scale", [10**9, 10**12])
+    def test_filter_matches_naturalize_at_scale(self, scale):
+        # Near the top n the walk is short and natural solutions are
+        # dense: the first 40 of each, at three seeded n per quadruple.
+        rng = random.Random(scale + 35)
+        found = 0
+        for quad in ALL_QUADS:
+            l = quad.l
+            m = scale + rng.randrange(1000)
+            for _ in range(3):
+                n = isqrt(l * m) - rng.randrange(200)
+                while not is_three_square(l * m - n * n):
+                    n -= 1
+                got = list(itertools.islice(
+                    solver._descent_solutions(m, n, quad, l, True), 40))
+                assert got == list(itertools.islice(
+                    naturalized_plain(m, n, quad), 40)), (quad, m, n)
+                found += len(got)
+        assert found >= 40 * 3 * 15
+
+    @pytest.mark.parametrize("quad", ALL_QUADS, ids=str)
+    def test_forms_match_variants(self, quad):
+        # Form v applied to (A, B, C), plus the n terms, is l times the
+        # coordinates that variant v of (A, B, C) gives through gamma.
+        a, b, c, d = quad
+        l = quad.l
+        forms = solver._FORMS.get(quad) or solver._forms(quad)
+        assert list(forms) == [1 << v for v in range(48)]
+        rng = random.Random(l)
+        checked = 0
+        while checked < 20:
+            m = rng.randrange(10**4)
+            n = rng.randrange(isqrt(l * m) + 1)
+            for trip in three_square_reps(l * m - n * n)[:3]:
+                valid = 0
+                for v in range(48):
+                    form = forms[1 << v]
+                    A2, B2, C2 = _residues.signed_permutation(trip, v)
+                    g = (a * n + b * A2 + c * B2 + d * C2,
+                         -b * n + a * A2 - d * B2 + c * C2,
+                         -c * n + d * A2 + a * B2 - b * C2,
+                         -d * n - c * A2 + b * B2 + a * C2)
+                    lx = [k * n + sum(map(int.__mul__, form[3 * i:3 * i + 3],
+                                          trip))
+                          for i, k in enumerate(quad)]
+                    assert lx == [g[0], -g[1], -g[2], -g[3]], (m, n, trip, v)
+                    if not any(x % l for x in lx):
+                        x, y, z, t = (x // l for x in lx)
+                        assert x * x + y * y + z * z + t * t == m
+                        assert quad.linear_form(x, y, z, t) == n
+                        valid += 1
+                checked += valid > 0
+
+
 def three_square_below(lm, n):
     """The largest n' <= n with l*m - n'**2 a sum of three squares."""
     while not is_three_square(lm - n * n):
@@ -997,11 +1070,13 @@ class TestAdmissibleN:
                     v2 = power(k) ** 2
                     ms |= {(v2 - 1) // l, v2 // l, (v2 + l - 1) // l}
                 for m in sorted(x for x in ms if 0 <= x <= INT64_MAX):
-                    assert list(solver._candidate_values(m, quad, ts, False)) \
+                    assert list(solver._candidate_values(
+                        m, quad, l, ts, False)) \
                         == self.bounded_stream(m, quad, ts, False), (quad, ts, m)
                     checked += 1
                     if m < 10**12:
-                        assert list(solver._candidate_values(m, quad, ts, True)) \
+                        assert list(solver._candidate_values(
+                            m, quad, l, ts, True)) \
                             == self.bounded_stream(m, quad, ts, True)
         assert checked > 800
 
@@ -1287,8 +1362,8 @@ class TestSolveRestricted:
             for quad in NINE_QUADRUPLES:
                 for ts in TargetSet:
                     for natural in (False, True):
-                        stream = list(solver._candidate_values(m, quad, ts,
-                                                               natural))
+                        stream = list(solver._candidate_values(
+                            m, quad, quad.l, ts, natural))
                         picks = [solve_linear_system(m, nv, quad, natural=natural)
                                  for nv in stream]
                         for nv, pick in zip(stream, picks):
